@@ -33,7 +33,7 @@ let experiments =
     ("e15", "page-differential logging trade-off", E15_diff_log.run);
     ("stream", "streaming replay: peak heap vs trace length", Stream.run);
     ("queue", "event queue: heap vs timing wheel churn rates", Queue_bench.run);
-    ("replay", "replay drivers: interpreted vs compiled A/B", Replay_bench.run);
+    ("replay", "replay feeders: streamed vs compiled A/B", Replay_bench.run);
     ("storage", "storage manager: indexed structures vs scan reference", Storage_bench.run);
     ("micro", "simulator micro-benchmarks", Micro.run);
     ("pool", "Domain pool: parallel speedup and sequential overhead", Pool_bench.run);

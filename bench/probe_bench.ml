@@ -62,7 +62,7 @@ let bulk_counters =
   [
     "device.flash.bytes_read"; "device.flash.bytes_programmed";
     "device.dram.bytes_read"; "device.dram.bytes_written";
-    "vm.exec.fetches"; "storage.heat.swept";
+    "vm.exec.fetches";
   ]
 
 let recordings_per_record () =

@@ -302,12 +302,10 @@ let p_meta_us = Probe.summary "machine.meta_latency_us"
 let ph_read_us = Probe.histogram "machine.read_hist_us"
 let ph_write_us = Probe.histogram "machine.write_hist_us"
 
-let op_label = function
-  | Trace.Record.Create _ -> "op.create"
-  | Trace.Record.Delete _ -> "op.delete"
-  | Trace.Record.Truncate _ -> "op.truncate"
-  | Trace.Record.Read _ -> "op.read"
-  | Trace.Record.Write _ -> "op.write"
+module Compiled = Trace.Replay.Compiled
+
+(* Timeline span names, indexed by dispatch tag. *)
+let op_label = [| "op.create"; "op.write"; "op.read"; "op.truncate"; "op.delete" |]
 
 let span_or_error t result =
   match result with
@@ -317,20 +315,27 @@ let span_or_error t result =
     Probe.incr p_op_errors;
     Time.span_zero
 
-let apply t record =
+(* The path walk: one lowered record through the file system by full path.
+   Writes to missing files create them first. *)
+let apply_path t ~tag ~file ~arg1 ~arg2 =
   Probe.incr p_ops;
-  let path = Fs.Vfs.path_of_file_id (Trace.Record.file record) in
-  match record.Trace.Record.op with
-  | Trace.Record.Create _ -> span_or_error t (fs_create t path)
-  | Trace.Record.Delete _ -> span_or_error t (fs_unlink t path)
-  | Trace.Record.Truncate { size; _ } -> span_or_error t (fs_truncate t path ~size)
-  | Trace.Record.Read { offset; bytes; _ } ->
-    span_or_error t (fs_read t path ~offset ~bytes)
-  | Trace.Record.Write { offset; bytes; _ } ->
+  let path = Fs.Vfs.path_of_file_id file in
+  if tag = Compiled.tag_write then begin
     let create_span =
       if fs_exists t path then Time.span_zero else span_or_error t (fs_create t path)
     in
-    Time.span_add create_span (span_or_error t (fs_write t path ~offset ~bytes))
+    Time.span_add create_span (span_or_error t (fs_write t path ~offset:arg1 ~bytes:arg2))
+  end
+  else if tag = Compiled.tag_read then
+    span_or_error t (fs_read t path ~offset:arg1 ~bytes:arg2)
+  else if tag = Compiled.tag_create then span_or_error t (fs_create t path)
+  else if tag = Compiled.tag_truncate then span_or_error t (fs_truncate t path ~size:arg1)
+  else span_or_error t (fs_unlink t path)
+
+let apply t record =
+  let l = Compiled.lower record in
+  apply_path t ~tag:l.Compiled.row_tag ~file:l.Compiled.row_file ~arg1:l.Compiled.row_arg1
+    ~arg2:l.Compiled.row_arg2
 
 (* --- Fault injection --------------------------------------------------------- *)
 
@@ -528,80 +533,152 @@ type result = {
   fault_log : fault_outcome list;
 }
 
-let run_seq ?(drain = Time.span_s 120.0) ?(faults = []) t records =
+(* --- Replay ---------------------------------------------------------------------
+
+   One closed-loop step per record, with two feeders: [run_compiled]
+   indexes a pre-lowered trace's arrays, and [run_seq] lowers each streamed
+   record as it arrives ([Compiled.lower], the lowering [compile_seq]
+   stores).  On a memory file system the step dispatches through a
+   pre-resolved route to "/data" ([Memfs.*_in]), which issues the same DRAM
+   metadata accesses in the same order as [apply_path]'s walk; anything the
+   route cannot serve (disk-backed file systems, a missing "/data") takes
+   the path walk. *)
+
+type replay = {
+  started : Time.t;
+  offset_ns : int;  (* Trace time zero is the replay's start. *)
+  read_latency : Stat.Summary.t;
+  write_latency : Stat.Summary.t;
+  meta_latency : Stat.Summary.t;
+  read_hist_us : Stat.Histogram.t;
+  write_hist_us : Stat.Histogram.t;
+  mutable busy : Time.span;
+  mutable ops : int;
+  (* A streamed trace's length is unknown until it ends, so the last
+     record's instant, which bounds the drain window, is tracked as
+     records go by. *)
+  mutable last_at : Time.t;
+  mutable accounting_done : bool;
+  mutable fault_log : fault_outcome list;  (* Newest first. *)
+  (* The pre-resolved route to "/data".  A cold restart replaces the file
+     system ([t.fs_gen] bumps), so the route is looked up lazily against
+     the current generation; resolution is side-effect-free, so rebuilding
+     mid-run cannot perturb the meters. *)
+  mutable route_gen : int;
+  mutable route_dir : Fs.Memfs.dirh option;
+}
+
+let start_replay t ~faults =
   let started = Engine.now t.engine in
-  let fault_log = ref [] in
+  let r =
+    {
+      started;
+      offset_ns = Time.to_ns started;
+      read_latency = Stat.Summary.create ();
+      write_latency = Stat.Summary.create ();
+      meta_latency = Stat.Summary.create ();
+      read_hist_us = Stat.Histogram.create ();
+      write_hist_us = Stat.Histogram.create ();
+      busy = Time.span_zero;
+      ops = 0;
+      last_at = started;
+      accounting_done = false;
+      fault_log = [];
+      route_gen = -1;
+      route_dir = None;
+    }
+  in
   List.iter
     (fun e ->
       let at = Time.add started e.Fault.after in
       ignore
         (Engine.schedule t.engine ~at (fun _ ->
-             fault_log := inject_fault t e.Fault.kind :: !fault_log)))
+             r.fault_log <- inject_fault t e.Fault.kind :: r.fault_log)))
     faults;
-  let offset = Time.diff started Time.zero in
-  let shifted =
-    if Time.equal started Time.zero then records
-    else
-      Seq.map
-        (fun r -> { r with Trace.Record.at = Time.add r.Trace.Record.at offset })
-        records
-  in
-  let read_latency = Stat.Summary.create () in
-  let write_latency = Stat.Summary.create () in
-  let meta_latency = Stat.Summary.create () in
-  let read_hist_us = Stat.Histogram.create () in
-  let write_hist_us = Stat.Histogram.create () in
-  let busy = ref Time.span_zero in
-  let ops = ref 0 in
-  (* The final record's timestamp bounds the drain window, but a streamed
-     trace's length is unknown until it ends: track it as records go by
-     instead of scanning the materialized trace.  The periodic power
-     accounting (an OS housekeeping task) likewise cannot take an [until]
-     bound up front; the chain stops rescheduling once the drain is done. *)
-  let last_at = ref started in
-  let accounting_done = ref false in
+  (* Periodic power accounting (an OS housekeeping task).  The trace's end
+     is not known up front, so the chain stops rescheduling once the drain
+     is done. *)
   let rec account_tick engine =
-    if not !accounting_done then begin
+    if not r.accounting_done then begin
       account t;
       ignore (Engine.schedule_after engine ~after:(Time.span_s 60.0) account_tick)
     end
   in
   ignore (Engine.schedule_after t.engine ~after:(Time.span_s 60.0) account_tick);
-  Trace.Replay.run_seq t.engine shifted ~f:(fun engine record ->
-      last_at := record.Trace.Record.at;
-      let op_start = Engine.now engine in
-      let span = apply t record in
-      incr ops;
-      busy := Time.span_add !busy span;
-      let us = Time.span_to_us span in
-      if Probe.timeline_enabled () then
-        Probe.span
-          ~name:(op_label record.Trace.Record.op)
-          ~cat:"op"
-          ~args:[ ("file", string_of_int (Trace.Record.file record)) ]
-          ~start:op_start ~finish:(Time.add op_start span) ();
-      (match record.Trace.Record.op with
-      | Trace.Record.Read _ ->
-        Stat.Summary.observe read_latency us;
-        Stat.Histogram.observe read_hist_us us;
-        Probe.observe p_read_us us;
-        Probe.observe_hist ph_read_us us
-      | Trace.Record.Write _ ->
-        Stat.Summary.observe write_latency us;
-        Stat.Histogram.observe write_hist_us us;
-        Probe.observe p_write_us us;
-        Probe.observe_hist ph_write_us us
-      | Trace.Record.Create _ | Trace.Record.Delete _ | Trace.Record.Truncate _ ->
-        Stat.Summary.observe meta_latency us;
-        Probe.observe p_meta_us us);
-      (* Closed loop: the (single-threaded) client does not issue its next
-         operation until this one completed. *)
-      Engine.run_until engine (Time.add (Engine.now engine) span));
-  Engine.run_until t.engine (Time.add !last_at drain);
-  accounting_done := true;
+  r
+
+let data_dir t r m =
+  if r.route_gen <> t.fs_gen then begin
+    r.route_dir <- (match Fs.Memfs.route m "/data" with Ok d -> Some d | Error _ -> None);
+    r.route_gen <- t.fs_gen
+  end;
+  r.route_dir
+
+let step t r ~at_ns ~tag ~file ~arg1 ~arg2 =
+  let at = Time.of_ns (at_ns + r.offset_ns) in
+  (* Records stamped before the current clock apply at the current clock:
+     an operation cannot begin before its predecessor completed. *)
+  if Time.( < ) (Engine.now t.engine) at then Engine.run_until t.engine at;
+  r.last_at <- at;
+  let op_start = Engine.now t.engine in
+  let span =
+    match t.fs with
+    | Mem m -> begin
+      match data_dir t r m with
+      | Some dir ->
+        Probe.incr p_ops;
+        let name = Fs.Vfs.leaf_of_file_id file in
+        if tag = Compiled.tag_write then begin
+          let create_span =
+            if Fs.Memfs.exists_in m dir name then Time.span_zero
+            else span_or_error t (Fs.Memfs.create_in m dir name)
+          in
+          Time.span_add create_span
+            (span_or_error t (Fs.Memfs.write_in m dir name ~offset:arg1 ~bytes:arg2))
+        end
+        else if tag = Compiled.tag_read then
+          span_or_error t (Fs.Memfs.read_in m dir name ~offset:arg1 ~bytes:arg2)
+        else if tag = Compiled.tag_create then
+          span_or_error t (Fs.Memfs.create_in m dir name)
+        else if tag = Compiled.tag_truncate then
+          span_or_error t (Fs.Memfs.truncate_in m dir name ~size:arg1)
+        else span_or_error t (Fs.Memfs.unlink_in m dir name)
+      | None -> apply_path t ~tag ~file ~arg1 ~arg2
+    end
+    | Disk_fs _ -> apply_path t ~tag ~file ~arg1 ~arg2
+  in
+  r.ops <- r.ops + 1;
+  r.busy <- Time.span_add r.busy span;
+  let us = Time.span_to_us span in
+  if Probe.timeline_enabled () then
+    Probe.span ~name:op_label.(tag) ~cat:"op"
+      ~args:[ ("file", string_of_int file) ]
+      ~start:op_start ~finish:(Time.add op_start span) ();
+  if tag = Compiled.tag_read then begin
+    Stat.Summary.observe r.read_latency us;
+    Stat.Histogram.observe r.read_hist_us us;
+    Probe.observe p_read_us us;
+    Probe.observe_hist ph_read_us us
+  end
+  else if tag = Compiled.tag_write then begin
+    Stat.Summary.observe r.write_latency us;
+    Stat.Histogram.observe r.write_hist_us us;
+    Probe.observe p_write_us us;
+    Probe.observe_hist ph_write_us us
+  end
+  else begin
+    Stat.Summary.observe r.meta_latency us;
+    Probe.observe p_meta_us us
+  end;
+  (* Closed loop: the (single-threaded) client does not issue its next
+     operation until this one completed. *)
+  Engine.run_until t.engine (Time.add (Engine.now t.engine) span)
+
+let finish_replay t r ~drain =
+  Engine.run_until t.engine (Time.add r.last_at drain);
+  r.accounting_done <- true;
   account t;
-  let elapsed = Time.diff (Engine.now t.engine) started in
-  let manager_stats = Option.map Storage.Store.stats t.store in
+  let elapsed = Time.diff (Engine.now t.engine) r.started in
   let lifetime_years =
     (* On an array the machine dies with its first worn-out card: the
        extrapolated lifetime is the minimum over cards. *)
@@ -618,204 +695,45 @@ let run_seq ?(drain = Time.span_s 120.0) ?(faults = []) t records =
     | None -> None
   in
   {
-    ops_applied = !ops;
+    ops_applied = r.ops;
     op_errors = t.errors;
     elapsed;
-    busy = !busy;
-    read_latency;
-    write_latency;
-    meta_latency;
-    read_hist_us;
-    write_hist_us;
+    busy = r.busy;
+    read_latency = r.read_latency;
+    write_latency = r.write_latency;
+    meta_latency = r.meta_latency;
+    read_hist_us = r.read_hist_us;
+    write_hist_us = r.write_hist_us;
     energy_j = total_energy t;
     battery_fraction_left = Device.Battery.fraction_remaining t.battery;
-    manager_stats;
+    manager_stats = Option.map Storage.Store.stats t.store;
     lifetime_years;
-    fault_log = List.rev !fault_log;
+    fault_log = List.rev r.fault_log;
   }
 
-let run ?drain ?faults t records = run_seq ?drain ?faults t (List.to_seq records)
-
-(* --- Compiled replay ----------------------------------------------------------
-
-   The raw-speed path over a pre-lowered trace: flat array indexing instead
-   of per-record variant matching, and pre-resolved file-system routes
-   instead of per-record path formatting and parsing.  Charging is
-   byte-identical to [run_seq] — the [_in] operations issue the same DRAM
-   metadata accesses in the same order as the path walk they replace, and
-   every probe/stat observation below mirrors its interpreted twin — so the
-   two drivers produce the same result on the same trace, which the test
-   suite asserts.  Anything the fast path cannot serve (disk-backed file
-   systems, records outside the common "/data" directory) falls back to the
-   interpreted [apply] per record. *)
-
-module Compiled = Trace.Replay.Compiled
-
-let tag_label =
-  (* Indexed by dispatch tag; same strings as [op_label]. *)
-  [| "op.create"; "op.write"; "op.read"; "op.truncate"; "op.delete" |]
-
-(* Leaf names under "/data", interned per file id so the hot loop never
-   formats a path.  [Vfs.path_of_file_id id] is "/data/f<id>". *)
-let name_cache = ref [||]
-
-let leaf_name id =
-  let cache = !name_cache in
-  if id >= 0 && id < Array.length cache && String.length cache.(id) > 0 then
-    cache.(id)
-  else begin
-    let name = "f" ^ string_of_int id in
-    if id >= 0 then begin
-      if id >= Array.length cache then begin
-        let bigger = Array.make (max (id + 1) ((2 * Array.length cache) + 64)) "" in
-        Array.blit cache 0 bigger 0 (Array.length cache);
-        name_cache := bigger
-      end;
-      !name_cache.(id) <- name
-    end;
-    name
-  end
-
 let run_compiled ?(drain = Time.span_s 120.0) ?(faults = []) t (c : Compiled.t) =
-  let started = Engine.now t.engine in
-  let fault_log = ref [] in
-  List.iter
-    (fun e ->
-      let at = Time.add started e.Fault.after in
-      ignore
-        (Engine.schedule t.engine ~at (fun _ ->
-             fault_log := inject_fault t e.Fault.kind :: !fault_log)))
-    faults;
-  let offset_ns = Time.to_ns started in
-  let read_latency = Stat.Summary.create () in
-  let write_latency = Stat.Summary.create () in
-  let meta_latency = Stat.Summary.create () in
-  let read_hist_us = Stat.Histogram.create () in
-  let write_hist_us = Stat.Histogram.create () in
-  let busy = ref Time.span_zero in
-  let ops = ref 0 in
-  let last_at = ref started in
-  let accounting_done = ref false in
-  let rec account_tick engine =
-    if not !accounting_done then begin
-      account t;
-      ignore (Engine.schedule_after engine ~after:(Time.span_s 60.0) account_tick)
-    end
-  in
-  ignore (Engine.schedule_after t.engine ~after:(Time.span_s 60.0) account_tick);
-  (* The pre-resolved route to "/data".  A cold restart replaces the file
-     system out from under us ([t.fs_gen] bumps), so the route is looked up
-     lazily against the current generation; resolution is side-effect-free,
-     so rebuilding mid-run cannot perturb the meters. *)
-  let route_gen = ref (-1) in
-  let route_dir = ref None in
-  let data_dir m =
-    if !route_gen <> t.fs_gen then begin
-      route_dir :=
-        (match Fs.Memfs.route m "/data" with Ok d -> Some d | Error _ -> None);
-      route_gen := t.fs_gen
-    end;
-    !route_dir
-  in
+  let r = start_replay t ~faults in
   let at_ns = c.Compiled.at_ns
   and tags = c.Compiled.tag
   and files = c.Compiled.file
   and arg1 = c.Compiled.arg1
   and arg2 = c.Compiled.arg2 in
   for i = 0 to c.Compiled.n - 1 do
-    let at = Time.of_ns (at_ns.(i) + offset_ns) in
-    if Time.( < ) (Engine.now t.engine) at then Engine.run_until t.engine at;
-    last_at := at;
-    let op_start = Engine.now t.engine in
-    let tag = tags.(i) in
-    let span =
-      match t.fs with
-      | Mem m -> begin
-        match data_dir m with
-        | Some dir ->
-          Probe.incr p_ops;
-          let name = leaf_name files.(i) in
-          if tag = Compiled.tag_write then begin
-            let create_span =
-              if Fs.Memfs.exists_in m dir name then Time.span_zero
-              else span_or_error t (Fs.Memfs.create_in m dir name)
-            in
-            Time.span_add create_span
-              (span_or_error t
-                 (Fs.Memfs.write_in m dir name ~offset:arg1.(i) ~bytes:arg2.(i)))
-          end
-          else if tag = Compiled.tag_read then
-            span_or_error t (Fs.Memfs.read_in m dir name ~offset:arg1.(i) ~bytes:arg2.(i))
-          else if tag = Compiled.tag_create then
-            span_or_error t (Fs.Memfs.create_in m dir name)
-          else if tag = Compiled.tag_truncate then
-            span_or_error t (Fs.Memfs.truncate_in m dir name ~size:arg1.(i))
-          else span_or_error t (Fs.Memfs.unlink_in m dir name)
-        | None -> apply t (Compiled.record c i)
-      end
-      | Disk_fs _ -> apply t (Compiled.record c i)
-    in
-    incr ops;
-    busy := Time.span_add !busy span;
-    let us = Time.span_to_us span in
-    if Probe.timeline_enabled () then
-      Probe.span ~name:tag_label.(tag) ~cat:"op"
-        ~args:[ ("file", string_of_int files.(i)) ]
-        ~start:op_start ~finish:(Time.add op_start span) ();
-    if tag = Compiled.tag_read then begin
-      Stat.Summary.observe read_latency us;
-      Stat.Histogram.observe read_hist_us us;
-      Probe.observe p_read_us us;
-      Probe.observe_hist ph_read_us us
-    end
-    else if tag = Compiled.tag_write then begin
-      Stat.Summary.observe write_latency us;
-      Stat.Histogram.observe write_hist_us us;
-      Probe.observe p_write_us us;
-      Probe.observe_hist ph_write_us us
-    end
-    else begin
-      Stat.Summary.observe meta_latency us;
-      Probe.observe p_meta_us us
-    end;
-    Engine.run_until t.engine (Time.add (Engine.now t.engine) span)
+    step t r ~at_ns:at_ns.(i) ~tag:tags.(i) ~file:files.(i) ~arg1:arg1.(i) ~arg2:arg2.(i)
   done;
-  Engine.run_until t.engine (Time.add !last_at drain);
-  accounting_done := true;
-  account t;
-  let elapsed = Time.diff (Engine.now t.engine) started in
-  let manager_stats = Option.map Storage.Store.stats t.store in
-  let lifetime_years =
-    (* On an array the machine dies with its first worn-out card: the
-       extrapolated lifetime is the minimum over cards. *)
-    match t.store with
-    | Some s ->
-      Some
-        (Array.fold_left
-           (fun acc m ->
-             Float.min acc
-               (Lifetime.of_run ~flash:(Storage.Manager.flash m)
-                  ~stats:(Storage.Manager.stats m)
-                  ~evenness:(Storage.Manager.wear_evenness m) ~elapsed))
-           infinity (Storage.Store.managers s))
-    | None -> None
-  in
-  {
-    ops_applied = !ops;
-    op_errors = t.errors;
-    elapsed;
-    busy = !busy;
-    read_latency;
-    write_latency;
-    meta_latency;
-    read_hist_us;
-    write_hist_us;
-    energy_j = total_energy t;
-    battery_fraction_left = Device.Battery.fraction_remaining t.battery;
-    manager_stats;
-    lifetime_years;
-    fault_log = List.rev !fault_log;
-  }
+  finish_replay t r ~drain
+
+let run_seq ?(drain = Time.span_s 120.0) ?(faults = []) t records =
+  let r = start_replay t ~faults in
+  Seq.iter
+    (fun record ->
+      let l = Compiled.lower record in
+      step t r ~at_ns:l.Compiled.row_at_ns ~tag:l.Compiled.row_tag
+        ~file:l.Compiled.row_file ~arg1:l.Compiled.row_arg1 ~arg2:l.Compiled.row_arg2)
+    records;
+  finish_replay t r ~drain
+
+let run ?drain ?faults t records = run_seq ?drain ?faults t (List.to_seq records)
 
 (* --- Multi-seed replication --------------------------------------------------- *)
 

@@ -56,9 +56,12 @@ val preload : t -> (int * int) list -> unit
 
 val apply : t -> Trace.Record.t -> Sim.Time.span
 (** Apply one trace record through the file system at the engine's current
-    instant.  Writes to missing files create them first (traces elide the
-    create when it is implicit).  Failed operations (e.g. reads of deleted
-    files) are counted and charged nothing. *)
+    instant, walking the full path ["/data/f<id>"].  Writes to missing
+    files create them first (traces elide the create when it is implicit).
+    Failed operations (e.g. reads of deleted files) are counted and charged
+    nothing.  The replay loop ({!run_seq}, {!run_compiled}) charges exactly
+    what this path walk charges, in the same order, through a pre-resolved
+    route to ["/data"]; it falls back to this walk where no route exists. *)
 
 (** {1 Fault injection}
 
@@ -127,6 +130,16 @@ val run_seq :
     then keep the engine running [drain] longer (default 120 s) so pending
     flushes and cleaning settle, then do the final power accounting.
 
+    [run_seq] and {!run_compiled} are two feeders of one replay loop:
+    [run_seq] lowers each record as it arrives
+    ({!Trace.Replay.Compiled.lower}), [run_compiled] indexes a trace lowered
+    up front.  Per record the loop runs every engine event due before the
+    record's instant, advances the clock to it (a record stamped in the past
+    applies at the current clock), applies it as {!apply} would, records
+    its latency, and advances the clock past the operation (a closed-loop
+    client).  A power-accounting tick runs every simulated minute.  The
+    two feeders therefore give the same result on the same trace.
+
     Each [faults] event fires at [start + after] through {!inject_fault}
     while the replay runs; the trace resumes on the (possibly remounted)
     machine and the outcomes land in [fault_log].  Events scheduled past
@@ -151,16 +164,10 @@ val run_compiled :
   t ->
   Trace.Replay.Compiled.t ->
   result
-(** {!run_seq} over a pre-lowered trace ({!Trace.Replay.Compiled}): the
-    raw-speed replay path.  Dispatch is pre-resolved — flat array indexing
-    instead of per-record variant matching, and a pinned route to ["/data"]
-    instead of per-record path formatting and parsing — but every device
-    charge, probe observation, and statistic is issued in exactly the order
-    the interpreted driver issues them, so the result (and all headline
-    metrics) is byte-identical to [run_seq] on the same trace.  Records the
-    route cannot serve (disk-backed machines, files outside ["/data"]) fall
-    back to the interpreted {!apply} per record; a mid-run cold restart
-    invalidates and transparently rebuilds the route. *)
+(** The replay loop of {!run_seq} fed from a pre-lowered trace
+    ({!Trace.Replay.Compiled}): no per-record lowering, so a trace compiled
+    once replays many times at array-indexing cost.  The result is
+    byte-identical to [run_seq] on the same trace. *)
 
 val pp_result : Format.formatter -> result -> unit
 

@@ -18,26 +18,34 @@ module type S = sig
   val sync : t -> span
 end
 
-(* Replay calls this once per record; a [Printf] per call is measurable in
-   the hot loop, so intern the formatted paths per id.  Ids are small and
-   dense.  Domains may race on the cache: the array swap is atomic, entries
-   are write-once immutable strings, and a lost update only costs a
-   re-format — never a wrong path. *)
-let path_cache = ref [||]
+(* Replay names a file once per record; a [Printf] per call is measurable
+   in the hot loop, so both names are interned per id.  Ids are small and
+   dense.  The table is per domain, so machines replaying on different
+   [Pool] domains never share a mutable table. *)
+type names = { mutable paths : string array; mutable leaves : string array }
+
+let names_key = Domain.DLS.new_key (fun () -> { paths = [||]; leaves = [||] })
+
+let intern id =
+  let t = Domain.DLS.get names_key in
+  if id >= Array.length t.paths then begin
+    let grow a =
+      let bigger = Array.make (max (id + 1) ((2 * Array.length a) + 64)) "" in
+      Array.blit a 0 bigger 0 (Array.length a);
+      bigger
+    in
+    t.paths <- grow t.paths;
+    t.leaves <- grow t.leaves
+  end;
+  if String.length t.leaves.(id) = 0 then begin
+    let leaf = "f" ^ string_of_int id in
+    t.leaves.(id) <- leaf;
+    t.paths.(id) <- "/data/" ^ leaf
+  end;
+  t
 
 let path_of_file_id id =
-  let cache = !path_cache in
-  if id >= 0 && id < Array.length cache && String.length cache.(id) > 0 then
-    cache.(id)
-  else begin
-    let path = "/data/f" ^ string_of_int id in
-    if id >= 0 then begin
-      if id >= Array.length cache then begin
-        let bigger = Array.make (max (id + 1) ((2 * Array.length cache) + 64)) "" in
-        Array.blit cache 0 bigger 0 (Array.length cache);
-        path_cache := bigger
-      end;
-      !path_cache.(id) <- path
-    end;
-    path
-  end
+  if id < 0 then "/data/f" ^ string_of_int id else (intern id).paths.(id)
+
+let leaf_of_file_id id =
+  if id < 0 then "f" ^ string_of_int id else (intern id).leaves.(id)

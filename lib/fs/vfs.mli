@@ -47,3 +47,10 @@ end
 
 val path_of_file_id : int -> string
 (** ["/data/f<id>"]. *)
+
+val leaf_of_file_id : int -> string
+(** ["f<id>"], the name of {!path_of_file_id}'s file inside ["/data"].
+
+    Both strings come from one interning table per domain (read-only
+    shared strings, no cross-domain mutable state): repeated calls on a
+    domain return the same physical string without formatting. *)

@@ -8,18 +8,23 @@ and callback = t -> unit
 (* The agenda structure for engines that don't pick one explicitly:
    SSMC_QUEUE=heap|wheel|checked, defaulting to the wheel (the heap stays
    the reference; CI pins the experiments byte-identical across all
-   three). *)
+   three).  Read once at start-up, not through a [lazy]: engines are
+   created on [Pool] domains, and forcing one suspension from two domains
+   at once raises [Lazy.Undefined]. *)
 let default_queue =
-  lazy
-    (match Option.map String.lowercase_ascii (Sys.getenv_opt "SSMC_QUEUE") with
-    | Some "heap" -> Event_queue.Heap
-    | Some "wheel" | None -> Event_queue.Wheel
-    | Some "checked" -> Event_queue.Checked
-    | Some other ->
-      Fmt.invalid_arg "SSMC_QUEUE=%s (expected heap, wheel, or checked)" other)
+  match Option.map String.lowercase_ascii (Sys.getenv_opt "SSMC_QUEUE") with
+  | Some "heap" -> Ok Event_queue.Heap
+  | Some "wheel" | None -> Ok Event_queue.Wheel
+  | Some "checked" -> Ok Event_queue.Checked
+  | Some other -> Error other
 
 let create ?queue () =
-  let kind = match queue with Some k -> k | None -> Lazy.force default_queue in
+  let kind =
+    match (queue, default_queue) with
+    | Some k, _ | None, Ok k -> k
+    | None, Error other ->
+      Fmt.invalid_arg "SSMC_QUEUE=%s (expected heap, wheel, or checked)" other
+  in
   { clock = Time.zero; agenda = Event_queue.create ~kind () }
 
 let now t = t.clock

@@ -729,7 +729,6 @@ let stats (t : t) =
     blocks_flushed = flushed;
     blocks_cleaned = cleaned;
     cold_loads = sum (fun s -> s.Manager.cold_loads) - t.parity_cold + t.degraded_cold;
-    hot_retained = sum (fun s -> s.Manager.hot_retained);
     cleanings = sum (fun s -> s.Manager.cleanings);
     dirty_blocks;
     free_segments = sum (fun s -> s.Manager.free_segments);

@@ -20,7 +20,6 @@ type probes = {
   p_flushed : Probe.counter;
   p_cleaned : Probe.counter;
   p_cold : Probe.counter;
-  p_hot_retained : Probe.counter;
   p_cleanings : Probe.counter;
   p_remounts : Probe.counter;
   p_busy_us : Probe.summary;
@@ -40,7 +39,6 @@ let make_probes ?card ~nbanks () =
     p_flushed = Probe.counter (l "blocks_flushed");
     p_cleaned = Probe.counter (l "blocks_cleaned");
     p_cold = Probe.counter (l "cold_loads");
-    p_hot_retained = Probe.counter (l "hot_retained");
     p_cleanings = Probe.counter (l "clean_ops");
     p_remounts = Probe.counter (l "remounts");
     p_busy_us = Probe.summary (l "busy_us");
@@ -63,8 +61,6 @@ type config = {
   banking : Banks.policy;
   low_water : int;
   high_water : int;
-  hot_threshold : float option;
-  heat_half_life : Time.span;
   max_flush_batch : int;
   flush_spacing : Time.span;
   flush_watermark : float option;
@@ -81,8 +77,6 @@ let default_config =
     banking = Banks.Unified;
     low_water = 2;
     high_water = 4;
-    hot_threshold = None;
-    heat_half_life = Time.span_s 60.0;
     max_flush_batch = 16;
     flush_spacing = Time.span_ms 100.0;
     flush_watermark = None;
@@ -143,7 +137,6 @@ type t = {
   retired : bool array;
   segs_per_bank : int;
   buffer : Write_buffer.t;
-  heat : Heat.t;
   mutable meta : meta array; (* indexed by block id; [no_meta] = absent *)
   mutable next_block : block;
   mutable open_fresh : int option;
@@ -174,7 +167,6 @@ type t = {
   mutable c_flushed : int;
   mutable c_cleaned : int;
   mutable c_cold : int;
-  mutable c_hot_retained : int;
   mutable c_cleanings : int;
 }
 
@@ -344,7 +336,6 @@ let create ?card cfg ~engine ~flash ~dram =
       retired = Array.make nsegments false;
       segs_per_bank;
       buffer = Write_buffer.create cfg.buffer;
-      heat = Heat.create ~half_life:cfg.heat_half_life ();
       meta = Array.make (nsegments * cfg.segment_sectors) no_meta;
       next_block = 0;
       open_fresh = None;
@@ -369,7 +360,6 @@ let create ?card cfg ~engine ~flash ~dram =
       c_flushed = 0;
       c_cleaned = 0;
       c_cold = 0;
-      c_hot_retained = 0;
       c_cleanings = 0;
     }
   in
@@ -1044,23 +1034,11 @@ and timer_fired t =
   let cursor = ref now in
   List.iter
     (fun b ->
-      let retain =
-        match t.cfg.hot_threshold with
-        | Some threshold when Heat.is_hot t.heat ~now ~block:b ~threshold ->
-          Write_buffer.readmit t.buffer ~now ~block:b
-        | Some _ | None -> false
-      in
-      if retain then begin
-        t.c_hot_retained <- t.c_hot_retained + 1;
-        Probe.incr t.probes.p_hot_retained
-      end
-      else begin
-        (* Reading the buffered copy out of DRAM. *)
-        ignore (Device.Dram.read t.dram ~bytes:(block_bytes t));
-        append_block t ~purpose:Banks.Fresh_write ~cursor b;
-        t.c_flushed <- t.c_flushed + 1;
-        Probe.incr t.probes.p_flushed
-      end)
+      (* Reading the buffered copy out of DRAM. *)
+      ignore (Device.Dram.read t.dram ~bytes:(block_bytes t));
+      append_block t ~purpose:Banks.Fresh_write ~cursor b;
+      t.c_flushed <- t.c_flushed + 1;
+      Probe.incr t.probes.p_flushed)
     expired;
   if expired <> [] then note_busy t ~start:now ~finish:!cursor;
   if expired <> [] && Probe.timeline_enabled () then
@@ -1127,7 +1105,6 @@ let write_block_at t ~at b =
   let m = find_meta t b in
   t.c_writes <- t.c_writes + 1;
   Probe.incr t.probes.p_writes;
-  Heat.record_write t.heat ~now:at ~block:b;
   (match t.diff with
   | None -> kill_flash_copy t m
   | Some d -> (
@@ -1245,7 +1222,6 @@ let free_block t b =
      even a rollback copy left live while the block sat dirty — is
      obsoleted in place, so a crash cannot resurrect freed data. *)
   obsolete_header t ~block:b ~hdr_sector:m.hdr_sector;
-  Heat.forget t.heat ~block:b;
   t.meta.(b) <- no_meta
 
 let load_cold t b =
@@ -1281,7 +1257,6 @@ type stats = {
   blocks_flushed : int;
   blocks_cleaned : int;
   cold_loads : int;
-  hot_retained : int;
   cleanings : int;
   dirty_blocks : int;
   free_segments : int;
@@ -1322,7 +1297,6 @@ let stats t =
     blocks_flushed = t.c_flushed;
     blocks_cleaned = t.c_cleaned;
     cold_loads = t.c_cold;
-    hot_retained = t.c_hot_retained;
     cleanings = t.c_cleanings;
     dirty_blocks = Write_buffer.size t.buffer;
     free_segments = free_segment_count t;
@@ -1423,7 +1397,6 @@ let reset_traffic t =
   t.c_flushed <- 0;
   t.c_cleaned <- 0;
   t.c_cold <- 0;
-  t.c_hot_retained <- 0;
   t.c_cleanings <- 0;
   Write_buffer.reset_counters t.buffer;
   (match t.diff with Some d -> Diff_log.reset_counters d | None -> ());

@@ -8,8 +8,11 @@
     - buffering written data in battery-backed DRAM and flushing it to
       flash only after a writeback delay, so data that dies young never
       reaches flash;
-    - keeping frequently-written (hot) blocks in DRAM past their deadline
-      and read-mostly data in flash;
+    - keeping frequently-written data in DRAM and read-mostly data in
+      flash: a rewrite of a dirty block is absorbed in the buffer and, with
+      [Write_buffer.config.refresh_on_rewrite], pushes its flush deadline
+      back, so a block rewritten more often than the writeback delay never
+      reaches flash;
     - log-structured allocation of flash space in segments, with garbage
       collection by a pluggable victim-selection policy;
     - wear leveling across erase sectors;
@@ -46,10 +49,6 @@ type config = {
   banking : Banks.policy;
   low_water : int;  (** Demand-clean when free segments drop below this. *)
   high_water : int;  (** ... and clean until at least this many are free. *)
-  hot_threshold : float option;
-      (** Decayed-write-count above which a block is retained in DRAM at
-          its flush deadline; [None] disables migration. *)
-  heat_half_life : Sim.Time.span;
   max_flush_batch : int;
       (** Background flushes program at most this many blocks per timer
           firing, so foreground reads are never stuck behind an unbounded
@@ -75,7 +74,8 @@ type config = {
 val default_config : config
 (** 32-sector segments, the {!Write_buffer.default_config} buffer,
     cost-benefit cleaning, dynamic wear leveling, unified banks,
-    watermarks 2/4, migration off. *)
+    watermarks 2/4, 16-block flush batches 100 ms apart, no
+    capacity-threshold flushing, the indexed selector, diff logging off. *)
 
 type t
 
@@ -184,7 +184,6 @@ type stats = {
   blocks_flushed : int;  (** Client blocks programmed into flash. *)
   blocks_cleaned : int;  (** Live blocks copied by the cleaner. *)
   cold_loads : int;
-  hot_retained : int;  (** Deadline flushes deferred because the block was hot. *)
   cleanings : int;  (** Victim segments cleaned. *)
   dirty_blocks : int;  (** Currently in the buffer. *)
   free_segments : int;

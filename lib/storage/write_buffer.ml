@@ -131,7 +131,13 @@ let take_expired ?(limit = max_int) t ~now =
   in
   go 0 []
 
-(* Find the earliest live entry without removing it. *)
+(* Find the earliest live entry without removing it.  "Without removing"
+   is by pop and re-add: the re-added head gets a fresh insertion number,
+   so it moves behind every other entry with the same deadline.  Every
+   [oldest]/[next_deadline] call (and so every [arm_timer], i.e. every
+   buffered write) rotates a same-deadline tie this way, and the rotated
+   order decides which block is flushed or evicted first.  That order is
+   pinned behaviour: a replacement queue must reproduce it. *)
 let rec peek_live t =
   match Event_queue.pop t.queue with
   | None -> None
@@ -154,13 +160,6 @@ let take t ~block =
   else false
 
 let next_deadline t = Option.map fst (peek_live t)
-
-let readmit t ~now ~block =
-  if is_full t || Hashtbl.mem t.deadlines block then false
-  else begin
-    enqueue t ~block ~deadline:(Time.add now t.cfg.writeback_delay);
-    true
-  end
 
 let drain t =
   let rec go acc =

@@ -66,12 +66,6 @@ val take : t -> block:int -> bool
 
 val next_deadline : t -> Sim.Time.t option
 
-val readmit : t -> now:Sim.Time.t -> block:int -> bool
-(** Put a block back with a fresh deadline without touching the traffic
-    counters — used to retain hot blocks in DRAM at their flush deadline.
-    False (and no insertion) if the buffer is full or the block is already
-    present. *)
-
 val drain : t -> int list
 (** Remove and return everything, in deadline order ([flush_all]). *)
 

@@ -2,8 +2,8 @@
 
     A trace is a time-ordered list of operations against numbered files.
     Traces drive every end-to-end experiment: the synthetic generator
-    ({!Synth}) produces them, {!Replay} feeds them to a file system, and
-    {!Stats} analyzes them. *)
+    ({!Synth}) produces them, {!Replay} lowers them for the machine's
+    replay loop, and {!Stats} analyzes them. *)
 
 type file_id = int
 (** Files are identified by small integers; names are a file-system concern. *)

@@ -25,14 +25,31 @@ module Compiled = struct
     arg2 : int array;  (** bytes (write/read); else 0. *)
   }
 
+  type row = {
+    row_at_ns : int;
+    row_tag : int;
+    row_file : int;
+    row_arg1 : int;
+    row_arg2 : int;
+  }
+
   let length c = c.n
 
-  let tag_of_op = function
-    | Record.Create _ -> tag_create
-    | Record.Write _ -> tag_write
-    | Record.Read _ -> tag_read
-    | Record.Truncate _ -> tag_truncate
-    | Record.Delete _ -> tag_delete
+  let lower r =
+    let row_at_ns = Time.to_ns r.Record.at in
+    match r.Record.op with
+    | Record.Create { file } ->
+      { row_at_ns; row_tag = tag_create; row_file = file; row_arg1 = 0; row_arg2 = 0 }
+    | Record.Write { file; offset; bytes } ->
+      { row_at_ns; row_tag = tag_write; row_file = file; row_arg1 = offset;
+        row_arg2 = bytes }
+    | Record.Read { file; offset; bytes } ->
+      { row_at_ns; row_tag = tag_read; row_file = file; row_arg1 = offset;
+        row_arg2 = bytes }
+    | Record.Truncate { file; size } ->
+      { row_at_ns; row_tag = tag_truncate; row_file = file; row_arg1 = size; row_arg2 = 0 }
+    | Record.Delete { file } ->
+      { row_at_ns; row_tag = tag_delete; row_file = file; row_arg1 = 0; row_arg2 = 0 }
 
   let compile_seq records =
     let cap = ref 1024 in
@@ -52,15 +69,12 @@ module Compiled = struct
       (fun r ->
         if !n = !cap then grow ();
         let i = !n in
-        !at_ns.(i) <- Time.to_ns r.Record.at;
-        !tag.(i) <- tag_of_op r.Record.op;
-        !file.(i) <- Record.file r;
-        (match r.Record.op with
-        | Record.Write { offset; bytes; _ } | Record.Read { offset; bytes; _ } ->
-          !arg1.(i) <- offset;
-          !arg2.(i) <- bytes
-        | Record.Truncate { size; _ } -> !arg1.(i) <- size
-        | Record.Create _ | Record.Delete _ -> ());
+        let l = lower r in
+        !at_ns.(i) <- l.row_at_ns;
+        !tag.(i) <- l.row_tag;
+        !file.(i) <- l.row_file;
+        !arg1.(i) <- l.row_arg1;
+        !arg2.(i) <- l.row_arg2;
         incr n)
       records;
     let shrink a = if Array.length !a = !n then !a else Array.sub !a 0 !n in
@@ -74,34 +88,4 @@ module Compiled = struct
     }
 
   let compile records = compile_seq (List.to_seq records)
-
-  (* Reconstruct a record (fallback paths and round-trip tests). *)
-  let record c i =
-    let file = c.file.(i) in
-    let op =
-      match c.tag.(i) with
-      | 0 -> Record.Create { file }
-      | 1 -> Record.Write { file; offset = c.arg1.(i); bytes = c.arg2.(i) }
-      | 2 -> Record.Read { file; offset = c.arg1.(i); bytes = c.arg2.(i) }
-      | 3 -> Record.Truncate { file; size = c.arg1.(i) }
-      | _ -> Record.Delete { file }
-    in
-    { Record.at = Time.of_ns c.at_ns.(i); op }
 end
-
-let run_seq engine records ~f =
-  Seq.iter
-    (fun r ->
-      let at = r.Record.at in
-      if Time.( < ) (Engine.now engine) at then Engine.run_until engine at;
-      f engine r)
-    records
-
-let run engine records ~f = run_seq engine (List.to_seq records) ~f
-
-let run_all_seq engine records ~f ~drain_until =
-  run_seq engine records ~f;
-  Engine.run_until engine drain_until
-
-let run_all engine records ~f ~drain_until =
-  run_all_seq engine (List.to_seq records) ~f ~drain_until

@@ -1,13 +1,12 @@
-(** Trace replay.
+(** Trace lowering for replay.
 
-    Drives a time-ordered trace through a consumer while keeping a
-    simulation engine's clock in step, so that background activity scheduled
-    on the engine (writeback timers, cleaners, battery accounting)
-    interleaves with foreground operations at the right instants.
-
-    The sequence variants pull records on demand and retain none of them:
-    replay of a streamed or file-backed trace runs in constant memory no
-    matter how long the trace is.  The list variants are thin wrappers. *)
+    The machine's replay loop ([Ssmc.Machine.run_seq] and
+    [Ssmc.Machine.run_compiled]) consumes records in the flat integer form
+    defined here: a dispatch tag, a file id and two arguments per record.
+    A streamed trace is lowered one record at a time with
+    {!Compiled.lower}; a trace replayed many times is lowered once into
+    struct-of-arrays form with {!Compiled.compile_seq}, which stores exactly
+    the fields [lower] produces. *)
 
 (** A trace lowered to flat struct-of-arrays form for the compiled replay
     fast path: consumers index int arrays instead of matching on
@@ -25,16 +24,26 @@ module Compiled : sig
   (** Fields are exposed (read-only) so replay loops index the arrays
       directly; construct only through {!compile_seq}/{!compile}. *)
 
+  type row = {
+    row_at_ns : int;
+    row_tag : int;
+    row_file : int;
+    row_arg1 : int;
+    row_arg2 : int;
+  }
+  (** One record's fields, as {!t} stores them at one index. *)
+
+  val lower : Record.t -> row
+  (** Lower one record.  Holds nothing: a streamed trace lowered record by
+      record replays in constant memory. *)
+
   val compile_seq : Record.t Seq.t -> t
-  (** Materialize and lower a trace.  Unlike {!run_seq}, this holds the
+  (** Materialize and lower a trace ({!lower} per record).  This holds the
       whole trace (5 ints per record). *)
 
   val compile : Record.t list -> t
 
   val length : t -> int
-
-  val record : t -> int -> Record.t
-  (** Reconstruct record [i] (for fallback paths and tests). *)
 
   (** Dense dispatch tags; [tag] is always one of these. *)
 
@@ -44,33 +53,3 @@ module Compiled : sig
   val tag_truncate : int
   val tag_delete : int
 end
-
-val run_seq :
-  Sim.Engine.t -> Record.t Seq.t -> f:(Sim.Engine.t -> Record.t -> unit) -> unit
-(** For each record in order: run every engine event due before the record's
-    timestamp, advance the clock to it, and apply [f].  Records stamped in
-    the past (before the current clock) are applied at the current clock
-    time — a foreground operation cannot begin before its predecessor's
-    bookkeeping completed. *)
-
-val run :
-  Sim.Engine.t -> Record.t list -> f:(Sim.Engine.t -> Record.t -> unit) -> unit
-(** [run_seq] over a materialized trace. *)
-
-val run_all_seq :
-  Sim.Engine.t ->
-  Record.t Seq.t ->
-  f:(Sim.Engine.t -> Record.t -> unit) ->
-  drain_until:Sim.Time.t ->
-  unit
-(** [run_seq] followed by running the engine's agenda up to [drain_until] —
-    letting pending flushes and cleaners finish after the last foreground
-    operation. *)
-
-val run_all :
-  Sim.Engine.t ->
-  Record.t list ->
-  f:(Sim.Engine.t -> Record.t -> unit) ->
-  drain_until:Sim.Time.t ->
-  unit
-(** [run_all_seq] over a materialized trace. *)

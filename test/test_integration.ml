@@ -170,51 +170,161 @@ let test_streaming_replay_equivalence () =
         (Fs.Memfs.metadata_bytes (fs_of m)))
     [ ("seq-of-list", via_seq_of_list); ("end-to-end stream", via_stream) ]
 
-(* --- Compiled replay equals interpreted replay ------------------------------------ *)
+(* --- The replay loop equals the path walk ------------------------------------------
+
+   [Machine.run_seq] and [Machine.run_compiled] feed one replay loop that
+   dispatches through a pre-resolved route to "/data".  The reference
+   below is that loop spelled out with the path walk ([Machine.apply]) per
+   record: the same fault schedule, the same 60 s accounting tick, the
+   same closed-loop advance and the same drain.  Both feeders must match
+   it on every input below. *)
+
+let energy m =
+  let meter = Device.Power.Meter.total_joules in
+  meter (Device.Dram.meter (Ssmc.Machine.dram m))
+  +. Array.fold_left
+       (fun acc f -> acc +. meter (Device.Flash.meter f))
+       0.0 (Ssmc.Machine.flashes m)
+  +. match Ssmc.Machine.disk m with Some d -> meter (Device.Disk.meter d) | None -> 0.0
+
+type outcome = {
+  o_ops : int;
+  o_errors : int;
+  o_busy_ns : int;
+  o_energy : float;
+  o_stats : Storage.Manager.stats option;
+  o_cards : (int * int) list;  (* Per card: flash programs, erases. *)
+  o_faults : (bool * int * int) list;  (* cold restart, blocks lost, files damaged *)
+}
+
+let outcome m ~ops ~errors ~busy ~faults =
+  (match Ssmc.Machine.memfs m with
+  | Some fs -> (
+    match Fs.Memfs.check fs with Ok () -> () | Error msg -> Alcotest.failf "fsck: %s" msg)
+  | None -> ());
+  {
+    o_ops = ops;
+    o_errors = errors;
+    o_busy_ns = Time.span_to_ns busy;
+    o_energy = energy m;
+    o_stats = Option.map Storage.Store.stats (Ssmc.Machine.store m);
+    o_cards =
+      Array.to_list
+        (Array.map
+           (fun f -> (Device.Flash.programs f, Device.Flash.erases f))
+           (Ssmc.Machine.flashes m));
+    o_faults =
+      List.map
+        (fun o ->
+          Ssmc.Machine.(o.cold_restart, o.blocks_lost, o.files_damaged))
+        faults;
+  }
+
+let reference_run ?(faults = []) m records =
+  let engine = Ssmc.Machine.engine m in
+  let started = Engine.now engine in
+  let fault_log = ref [] in
+  List.iter
+    (fun e ->
+      ignore
+        (Engine.schedule engine ~at:(Time.add started e.Fault.after) (fun _ ->
+             fault_log := Ssmc.Machine.inject_fault m e.Fault.kind :: !fault_log)))
+    faults;
+  let accounting_done = ref false in
+  let rec tick engine =
+    if not !accounting_done then begin
+      Ssmc.Machine.account m;
+      ignore (Engine.schedule_after engine ~after:(Time.span_s 60.0) tick)
+    end
+  in
+  ignore (Engine.schedule_after engine ~after:(Time.span_s 60.0) tick);
+  let ops = ref 0 and busy = ref Time.span_zero and last_at = ref started in
+  List.iter
+    (fun r ->
+      let at = Time.add started (Time.span_ns (Time.to_ns r.Trace.Record.at)) in
+      if Time.( < ) (Engine.now engine) at then Engine.run_until engine at;
+      last_at := at;
+      let span = Ssmc.Machine.apply m r in
+      incr ops;
+      busy := Time.span_add !busy span;
+      Engine.run_until engine (Time.add (Engine.now engine) span))
+    records;
+  Engine.run_until engine (Time.add !last_at (Time.span_s 120.0));
+  accounting_done := true;
+  Ssmc.Machine.account m;
+  (* The machine's error count is reported only through a run result; the
+     probe counter [apply] bumps with it stands in. *)
+  let errors =
+    Probe.Snapshot.counter_value (Probe.snapshot ()) "machine.op_errors"
+  in
+  outcome m ~ops:!ops ~errors ~busy:!busy ~faults:(List.rev !fault_log)
+
+let check_outcome label (a : outcome) (b : outcome) =
+  let chk what = Alcotest.(check int) (label ^ ": " ^ what) in
+  chk "ops" a.o_ops b.o_ops;
+  chk "op errors" a.o_errors b.o_errors;
+  chk "busy ns" a.o_busy_ns b.o_busy_ns;
+  Alcotest.(check (float 0.0)) (label ^ ": energy") a.o_energy b.o_energy;
+  Alcotest.(check bool) (label ^ ": Store.stats") true (a.o_stats = b.o_stats);
+  Alcotest.(check (list (pair int int))) (label ^ ": per-card programs, erases")
+    a.o_cards b.o_cards;
+  Alcotest.(check (list (triple bool int int))) (label ^ ": fault outcomes") a.o_faults
+    b.o_faults
+
+let check_loop_matches_path_walk ?faults ~cold_restart cfg =
+  let trace = gen 26 120.0 in
+  let records = trace.Trace.Synth.records in
+  let compiled = Trace.Replay.Compiled.compile records in
+  let run driver =
+    let m = Ssmc.Machine.create cfg in
+    Ssmc.Machine.preload m trace.Trace.Synth.initial_files;
+    driver m
+  in
+  let of_result m (r : Ssmc.Machine.result) =
+    outcome m ~ops:r.Ssmc.Machine.ops_applied ~errors:r.Ssmc.Machine.op_errors
+      ~busy:r.Ssmc.Machine.busy ~faults:r.Ssmc.Machine.fault_log
+  in
+  Probe.set_metrics true;
+  let reference =
+    Fun.protect
+      ~finally:(fun () -> Probe.set_metrics false; Probe.reset ())
+      (fun () -> run (fun m -> reference_run ?faults m records))
+  in
+  Alcotest.(check int) "reference applied the trace" (List.length records)
+    reference.o_ops;
+  Alcotest.(check bool) "cold restart as expected" cold_restart
+    (List.exists (fun (cold, _, _) -> cold) reference.o_faults);
+  check_outcome "run_seq" reference
+    (run (fun m -> of_result m (Ssmc.Machine.run_seq ?faults m (List.to_seq records))));
+  check_outcome "run_compiled" reference
+    (run (fun m -> of_result m (Ssmc.Machine.run_compiled ?faults m compiled)))
 
 let test_compiled_replay_equivalence () =
-  (* The compiled fast path must be a pure speedup: same trace, same
-     machine, byte-identical result — including across a mid-run cold
-     restart, which kills the pre-resolved route out from under it. *)
-  let trace = gen 26 120.0 in
-  let compiled = Trace.Replay.Compiled.compile trace.Trace.Synth.records in
-  let machine () =
-    (* No backup battery: a depletion fault forces a cold restart. *)
-    Ssmc.Machine.create (Ssmc.Config.solid_state ~backup_wh:0.0 ~seed:26 ())
+  check_loop_matches_path_walk ~cold_restart:false (Ssmc.Config.solid_state ~seed:26 ())
+
+let test_loop_cold_restart () =
+  (* No backup battery: a depletion fault forces a cold restart, which
+     replaces the file system under the loop's pre-resolved route. *)
+  check_loop_matches_path_walk ~cold_restart:true
+    ~faults:[ { Fault.after = Time.span_s 40.0; kind = Fault.Battery_depletion } ]
+    (Ssmc.Config.solid_state ~backup_wh:0.0 ~seed:26 ())
+
+let test_loop_parity_array () =
+  let manager =
+    {
+      Storage.Manager.default_config with
+      Storage.Manager.diff_log = Some Storage.Diff_log.default_config;
+    }
   in
-  let run ?faults driver =
-    let m = machine () in
-    Ssmc.Machine.preload m trace.Trace.Synth.initial_files;
-    let r = driver ?faults m in
-    (match Fs.Memfs.check (Option.get (Ssmc.Machine.memfs m)) with
-    | Ok () -> ()
-    | Error msg -> Alcotest.failf "fsck: %s" msg);
-    r
-  in
-  let interpreted ?faults m = Ssmc.Machine.run ?faults m trace.Trace.Synth.records in
-  let fast ?faults m = Ssmc.Machine.run_compiled ?faults m compiled in
-  let deep_check label (a : Ssmc.Machine.result) (b : Ssmc.Machine.result) =
-    check_same_result label a b;
-    let fcheck what va vb = Alcotest.(check (float 0.0)) (label ^ ": " ^ what) va vb in
-    fcheck "elapsed" (Time.span_to_us a.Ssmc.Machine.elapsed)
-      (Time.span_to_us b.Ssmc.Machine.elapsed);
-    fcheck "read mean"
-      (Stat.Summary.mean a.Ssmc.Machine.read_latency)
-      (Stat.Summary.mean b.Ssmc.Machine.read_latency);
-    fcheck "write mean"
-      (Stat.Summary.mean a.Ssmc.Machine.write_latency)
-      (Stat.Summary.mean b.Ssmc.Machine.write_latency);
-    fcheck "meta mean"
-      (Stat.Summary.mean a.Ssmc.Machine.meta_latency)
-      (Stat.Summary.mean b.Ssmc.Machine.meta_latency)
-  in
-  deep_check "compiled" (run interpreted) (run fast);
-  let faults = [ { Fault.after = Time.span_s 40.0; kind = Fault.Battery_depletion } ] in
-  let af = run ~faults interpreted in
-  let bf = run ~faults fast in
-  Alcotest.(check bool) "cold restart happened" true
-    (List.exists (fun o -> o.Ssmc.Machine.cold_restart) bf.Ssmc.Machine.fault_log);
-  deep_check "compiled+cold-restart" af bf
+  check_loop_matches_path_walk ~cold_restart:false
+    (Ssmc.Config.solid_state ~flash_mb:4 ~cards:4 ~manager
+       ~striping:(Storage.Striping.Parity { strip_blocks = 4; rotate = true })
+       ~front_cache_blocks:32 ~seed:26 ())
+
+let test_loop_disk () =
+  (* No route on a disk file system: the loop falls back to the path walk
+     for every record. *)
+  check_loop_matches_path_walk ~cold_restart:false (Ssmc.Config.conventional ~seed:26 ())
 
 (* --- memfs / ffs logical equivalence ---------------------------------------------- *)
 
@@ -330,6 +440,11 @@ let suite =
       test_streaming_replay_equivalence;
     Alcotest.test_case "compiled replay equivalence" `Quick
       test_compiled_replay_equivalence;
+    Alcotest.test_case "replay loop = path walk: cold restart" `Quick
+      test_loop_cold_restart;
+    Alcotest.test_case "replay loop = path walk: parity array" `Quick
+      test_loop_parity_array;
+    Alcotest.test_case "replay loop = path walk: disk" `Quick test_loop_disk;
     Alcotest.test_case "battery exhaustion mid-run" `Slow test_battery_exhaustion_mid_run;
     Alcotest.test_case "flash wear-out mid-run" `Slow test_flash_wearout_mid_run;
     Alcotest.test_case "memfs/ffs equivalence" `Quick test_fs_equivalence;

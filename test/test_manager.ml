@@ -3,7 +3,7 @@ open Sim
 (* A small machine: 256KB flash, 2 banks, 8-sector segments. *)
 let make ?(flash_kib = 256) ?(nbanks = 2) ?(buffer_blocks = 16) ?(delay = 30.0)
     ?(cleaner = Storage.Cleaner.Cost_benefit) ?(wear = Storage.Wear.Dynamic)
-    ?(banking = Storage.Banks.Unified) ?(endurance = 1_000) ?hot_threshold ?diff_log () =
+    ?(banking = Storage.Banks.Unified) ?(endurance = 1_000) ?diff_log () =
   let engine = Engine.create () in
   let flash =
     Device.Flash.create
@@ -24,7 +24,6 @@ let make ?(flash_kib = 256) ?(nbanks = 2) ?(buffer_blocks = 16) ?(delay = 30.0)
       cleaner;
       wear;
       banking;
-      hot_threshold;
       diff_log;
     }
   in
@@ -182,25 +181,6 @@ let test_flush_all () =
   Alcotest.(check bool) "took flash time" true (Time.span_to_ms span > 5.0);
   Alcotest.(check int) "buffer empty" 0
     (Storage.Manager.stats m).Storage.Manager.dirty_blocks
-
-let test_hot_block_retention () =
-  let engine, m, flash = make ~delay:2.0 ~hot_threshold:3.0 () in
-  let hot = Storage.Manager.alloc m in
-  let cold = Storage.Manager.alloc m in
-  ignore (Storage.Manager.write_block m cold);
-  (* Keep the hot block hot across several deadlines. *)
-  for _ = 1 to 10 do
-    ignore (Storage.Manager.write_block m hot);
-    advance engine (Time.span_s 1.0)
-  done;
-  advance engine (Time.span_s 4.0);
-  let stats = Storage.Manager.stats m in
-  Alcotest.(check bool) "hot retained at least once" true
-    (stats.Storage.Manager.hot_retained > 0);
-  Alcotest.(check int) "cold flushed" 1
-    (Device.Flash.programs flash - stats.Storage.Manager.blocks_cleaned
-    |> min (Device.Flash.programs flash));
-  ignore cold
 
 let test_wear_leveling_reduces_spread () =
   (* Hammer a hot set; static leveling should keep the erase spread below
@@ -548,7 +528,6 @@ let suite =
     Alcotest.test_case "out of space" `Quick test_out_of_space;
     Alcotest.test_case "partitioned placement" `Quick test_load_cold_placement_partitioned;
     Alcotest.test_case "flush_all" `Quick test_flush_all;
-    Alcotest.test_case "hot retention" `Quick test_hot_block_retention;
     Alcotest.test_case "wear leveling spread" `Slow test_wear_leveling_reduces_spread;
     Alcotest.test_case "watermark flush" `Quick test_watermark_flush;
     Alcotest.test_case "consistency mid-flight" `Quick test_consistency_mid_flight;

@@ -2,7 +2,37 @@
 open Sim
 
 let test_vfs_path_of_file_id () =
-  Alcotest.(check string) "mapping" "/data/f17" (Fs.Vfs.path_of_file_id 17)
+  Alcotest.(check string) "mapping" "/data/f17" (Fs.Vfs.path_of_file_id 17);
+  Alcotest.(check string) "leaf" "f17" (Fs.Vfs.leaf_of_file_id 17);
+  Alcotest.(check string) "negative ids are not interned" "/data/f-3"
+    (Fs.Vfs.path_of_file_id (-3))
+
+(* Fleet devices replay on Pool domains: each domain interns into its own
+   table, so a second domain naming overlapping ids gets correct strings
+   and leaves the caller's table untouched. *)
+let test_vfs_names_per_domain () =
+  let names id = (Fs.Vfs.path_of_file_id id, Fs.Vfs.leaf_of_file_id id) in
+  let mine = List.init 40 (fun id -> names id) in
+  let theirs =
+    Domain.join (Domain.spawn (fun () -> List.init 100 (fun i -> names (20 + i))))
+  in
+  List.iteri
+    (fun i (path, leaf) ->
+      let id = 20 + i in
+      Alcotest.(check string) "other domain's path" (Printf.sprintf "/data/f%d" id) path;
+      Alcotest.(check string) "other domain's leaf" (Printf.sprintf "f%d" id) leaf;
+      if id < 40 then begin
+        let my_path, my_leaf = List.nth mine id in
+        Alcotest.(check bool) "interned separately" true
+          (path != my_path && leaf != my_leaf)
+      end)
+    theirs;
+  List.iteri
+    (fun id (path, leaf) ->
+      let path', leaf' = names id in
+      Alcotest.(check bool) "caller's table unchanged" true
+        (path == path' && leaf == leaf'))
+    mine
 
 let test_engine_advance_to () =
   let e = Engine.create () in
@@ -107,15 +137,22 @@ let test_sizing_pp_and_lifetime_errors () =
            }))
 
 let test_replay_run_all () =
-  let engine = Engine.create () in
+  (* The drain ends at the last record's instant plus [drain], and engine
+     events due after the last record still fire inside it. *)
+  let m = Ssmc.Machine.create (Ssmc.Config.solid_state ~seed:1 ()) in
+  Ssmc.Machine.preload m [];
+  let engine = Ssmc.Machine.engine m in
+  let s = Time.to_ns (Engine.now engine) in
   let fired = ref false in
-  ignore (Engine.schedule engine ~at:(Time.of_ns 5_000) (fun _ -> fired := true));
+  ignore (Engine.schedule engine ~at:(Time.of_ns (s + 5_000)) (fun _ -> fired := true));
   let records =
     [ { Trace.Record.at = Time.of_ns 1_000; op = Trace.Record.Create { file = 1 } } ]
   in
-  Trace.Replay.run_all engine records ~f:(fun _ _ -> ()) ~drain_until:(Time.of_ns 10_000);
+  let result = Ssmc.Machine.run ~drain:(Time.span_ns 9_000) m records in
   Alcotest.(check bool) "post-trace event drained" true !fired;
-  Alcotest.(check int) "clock at drain point" 10_000 (Time.to_ns (Engine.now engine))
+  Alcotest.(check int) "elapsed ends at last record + drain" 10_000
+    (Time.span_to_ns result.Ssmc.Machine.elapsed);
+  Alcotest.(check int) "clock at drain point" (s + 10_000) (Time.to_ns (Engine.now engine))
 
 let test_chart_empty_and_flat () =
   (* Degenerate inputs render without crashing. *)
@@ -158,6 +195,7 @@ let test_card_eject_report_pp () =
 let suite =
   [
     Alcotest.test_case "vfs path mapping" `Quick test_vfs_path_of_file_id;
+    Alcotest.test_case "vfs names per domain" `Quick test_vfs_names_per_domain;
     Alcotest.test_case "engine advance_to" `Quick test_engine_advance_to;
     Alcotest.test_case "flash wear summary" `Quick test_flash_wear_summary;
     Alcotest.test_case "trends configuration cost" `Quick test_trends_configuration_cost;

@@ -32,13 +32,33 @@ let test_compile_roundtrip () =
         | 3 -> record i (Trace.Record.Truncate { file = i; size = i * 11 })
         | _ -> record i (Trace.Record.Delete { file = i }))
   in
-  let c = Trace.Replay.Compiled.compile many in
-  Alcotest.(check int) "length" (List.length many) (Trace.Replay.Compiled.length c);
+  let module C = Trace.Replay.Compiled in
+  let c = C.compile many in
+  Alcotest.(check int) "length" (List.length many) (C.length c);
+  let record i =
+    let file = c.C.file.(i) and arg1 = c.C.arg1.(i) and arg2 = c.C.arg2.(i) in
+    let op =
+      match c.C.tag.(i) with
+      | t when t = C.tag_create -> Trace.Record.Create { file }
+      | t when t = C.tag_write -> Trace.Record.Write { file; offset = arg1; bytes = arg2 }
+      | t when t = C.tag_read -> Trace.Record.Read { file; offset = arg1; bytes = arg2 }
+      | t when t = C.tag_truncate -> Trace.Record.Truncate { file; size = arg1 }
+      | t when t = C.tag_delete -> Trace.Record.Delete { file }
+      | t -> Alcotest.failf "record %d: unknown tag %d" i t
+    in
+    { Trace.Record.at = Time.of_ns c.C.at_ns.(i); op }
+  in
   List.iteri
     (fun i orig ->
-      let back = Trace.Replay.Compiled.record c i in
+      let back = record i in
       if back <> orig then
-        Alcotest.failf "record %d did not round-trip: %a" i Trace.Record.pp back)
+        Alcotest.failf "record %d did not round-trip: %a" i Trace.Record.pp back;
+      (* [lower] is the per-record form of the same lowering. *)
+      let l = C.lower orig in
+      if
+        (l.C.row_at_ns, l.C.row_tag, l.C.row_file, l.C.row_arg1, l.C.row_arg2)
+        <> (c.C.at_ns.(i), c.C.tag.(i), c.C.file.(i), c.C.arg1.(i), c.C.arg2.(i))
+      then Alcotest.failf "record %d: lower disagrees with compile" i)
     many
 
 (* --- Text format ------------------------------------------------------------ *)
@@ -270,23 +290,62 @@ let test_engineering_death_fraction_matches_baker () =
 
 (* --- Replay ---------------------------------------------------------------------- *)
 
+(* The replay loop ([Machine.run]) on a small machine with "/data" in
+   place.  Op-span start instants come from the probe timeline; [f]
+   receives the machine and the instant the replay will start at. *)
+let with_replay_machine f =
+  let m = Ssmc.Machine.create (Ssmc.Config.solid_state ~seed:1 ()) in
+  Ssmc.Machine.preload m [];
+  Probe.set_timeline true;
+  Fun.protect
+    ~finally:(fun () ->
+      Probe.set_timeline false;
+      Probe.reset ())
+    (fun () -> f m (Time.to_ns (Engine.now (Ssmc.Machine.engine m))))
+
+let op_spans () =
+  List.filter_map
+    (fun e ->
+      match e.Probe.Timeline.ev_dur_ns with
+      | Some dur when e.Probe.Timeline.ev_cat = "op" ->
+        Some (e.Probe.Timeline.ev_ts_ns, dur)
+      | Some _ | None -> None)
+    (Probe.Timeline.events ())
+
 let test_replay_advances_clock () =
-  let engine = Engine.create () in
-  let records = [ record 100 (w 1 0 512); record 300 (r 1 0 512) ] in
-  let seen = ref [] in
-  Trace.Replay.run engine records ~f:(fun e rec_ ->
-      seen := (Time.to_ns (Engine.now e), Trace.Record.file rec_) :: !seen);
-  Alcotest.(check (list (pair int int)))
-    "applied at the record instants"
-    [ (100, 1); (300, 1) ]
-    (List.rev !seen)
+  with_replay_machine (fun m s ->
+      (* The read shares the write's stamp, so once the write completes
+         that stamp is in the past: the read applies at the current clock,
+         right where the write finished.  The last record applies at its
+         own (future) stamp. *)
+      let records =
+        [ record 100 (w 1 0 512); record 100 (r 1 0 512); record 5_000_000 (r 1 0 512) ]
+      in
+      let result = Ssmc.Machine.run m records in
+      Alcotest.(check int) "all applied" 3 result.Ssmc.Machine.ops_applied;
+      match op_spans () with
+      | [ (w_start, w_dur); (r_start, _); (late_start, _) ] ->
+        Alcotest.(check int) "write at its stamp" (s + 100) w_start;
+        Alcotest.(check bool) "write took time" true (w_dur > 0);
+        Alcotest.(check int) "past-stamped read at the current clock" (w_start + w_dur)
+          r_start;
+        Alcotest.(check int) "future-stamped read at its stamp" (s + 5_000_000) late_start
+      | spans -> Alcotest.failf "expected 3 op spans, got %d" (List.length spans))
 
 let test_replay_runs_due_events () =
-  let engine = Engine.create () in
-  let fired = ref false in
-  ignore (Engine.schedule engine ~at:(Time.of_ns 50) (fun _ -> fired := true));
-  Trace.Replay.run engine [ record 100 (w 1 0 1) ] ~f:(fun _ _ -> ());
-  Alcotest.(check bool) "event before record fired" true !fired
+  with_replay_machine (fun m s ->
+      let seen = ref None in
+      ignore
+        (Engine.schedule (Ssmc.Machine.engine m) ~at:(Time.of_ns (s + 50)) (fun e ->
+             let fs = Option.get (Ssmc.Machine.memfs m) in
+             seen := Some (Time.to_ns (Engine.now e), Fs.Memfs.exists fs "/data/f1")));
+      ignore (Ssmc.Machine.run m [ record 100 (w 1 0 1) ]);
+      Alcotest.(check (option (pair int bool)))
+        "event before record fired first, at its own instant" (Some (s + 50, false)) !seen;
+      match op_spans () with
+      | [ (start, _) ] ->
+        Alcotest.(check int) "record applied at its stamp" (s + 100) start
+      | spans -> Alcotest.failf "expected 1 op span, got %d" (List.length spans))
 
 (* --- Streaming ------------------------------------------------------------------- *)
 

@@ -61,8 +61,6 @@ let test_zero_capacity_write_through () =
   Alcotest.(check (list int)) "nothing ever expires" []
     (Storage.Write_buffer.take_expired b ~now:(sec 1000.0));
   Alcotest.(check (list int)) "drain is empty" [] (Storage.Write_buffer.drain b);
-  Alcotest.(check bool) "readmit refused" false
-    (Storage.Write_buffer.readmit b ~now:(sec 2.0) ~block:1);
   Alcotest.(check int) "no admissions counted" 0
     (Storage.Write_buffer.admitted_blocks b);
   Alcotest.(check int) "no absorptions counted" 0
@@ -114,16 +112,18 @@ let test_remove_cancels () =
   Alcotest.(check (list int)) "never flushed" []
     (Storage.Write_buffer.take_expired b ~now:(sec 100.0))
 
-let test_readmit () =
-  let b = make ~capacity:2 () in
-  Alcotest.(check bool) "readmit into space" true
-    (Storage.Write_buffer.readmit b ~now:(sec 0.0) ~block:9);
-  Alcotest.(check bool) "no double readmit" false
-    (Storage.Write_buffer.readmit b ~now:(sec 0.0) ~block:9);
-  Alcotest.(check int) "no counter change" 0 (Storage.Write_buffer.admitted_blocks b);
-  ignore (Storage.Write_buffer.write b ~now:(sec 0.0) ~block:10);
-  Alcotest.(check bool) "full rejects readmit" false
-    (Storage.Write_buffer.readmit b ~now:(sec 0.0) ~block:11)
+(* Peeking pops the head and re-adds it, which moves it behind every
+   entry with the same deadline.  Flush and eviction order depend on this
+   rotation, so it is pinned here. *)
+let test_peek_rotates_deadline_tie () =
+  let b = make ~capacity:10 ~delay:30.0 () in
+  List.iter
+    (fun block -> ignore (Storage.Write_buffer.write b ~now:(sec 0.0) ~block))
+    [ 1; 2; 3 ];
+  Alcotest.(check (option int)) "oldest is the first admitted" (Some 1)
+    (Storage.Write_buffer.oldest b);
+  Alcotest.(check (list int)) "the peeked head went behind its ties" [ 2; 3; 1 ]
+    (Storage.Write_buffer.drain b)
 
 let test_drain () =
   let b = make ~capacity:10 () in
@@ -225,7 +225,7 @@ let suite =
     Alcotest.test_case "refresh on rewrite" `Quick test_refresh_on_rewrite;
     Alcotest.test_case "no-refresh variant" `Quick test_no_refresh_variant;
     Alcotest.test_case "remove cancels" `Quick test_remove_cancels;
-    Alcotest.test_case "readmit" `Quick test_readmit;
+    Alcotest.test_case "peek rotates a deadline tie" `Quick test_peek_rotates_deadline_tie;
     Alcotest.test_case "drain" `Quick test_drain;
     Alcotest.test_case "stale entries interleaved" `Quick test_stale_entries_interleaved;
     Alcotest.test_case "refresh does not leak queue entries" `Quick
