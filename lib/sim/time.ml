@@ -33,13 +33,15 @@ let span_scale d k =
   int_of_float (Float.round (float_of_int d *. k))
 
 let span_zero = 0
-let max_span a b = Stdlib.max a b
+let max_span (a : int) b = if a >= b then a else b
 let compare = Int.compare
 let equal = Int.equal
 let ( <= ) (a : int) b = Stdlib.( <= ) a b
 let ( < ) (a : int) b = Stdlib.( < ) a b
-let max = Stdlib.max
-let min = Stdlib.min
+(* Int-specialised: [Stdlib.max]/[min] are polymorphic and compare through
+   a C call. *)
+let max (a : int) b = if a >= b then a else b
+let min (a : int) b = if a <= b then a else b
 
 (* Render with the largest unit that keeps the value >= 1. *)
 let pp_ns ppf n =

@@ -7,17 +7,22 @@ type policy = Greedy | Cost_benefit
 let policy_name = function Greedy -> "greedy" | Cost_benefit -> "cost-benefit"
 let pp_policy ppf p = Fmt.string ppf (policy_name p)
 
-let score policy ~now seg =
-  let u = Segment.utilization seg in
+(* The one scoring formula, over integer statistics.  [score] (and so the
+   [select] reference) and [best_closed] both evaluate it, so the two
+   agree bit for bit.  Inlined so the pass below keeps the float unboxed. *)
+let[@inline] score_of policy ~now_ns ~lt_ns ~live ~nslots =
+  let u = float_of_int live /. float_of_int nslots in
   match policy with
   | Greedy -> 1.0 -. u
   | Cost_benefit ->
-    let age =
-      Time.span_to_s (Time.diff (Time.max now (Segment.last_touched seg))
-                        (Segment.last_touched seg))
-    in
+    let age = float_of_int (Int.max 0 (now_ns - lt_ns)) /. 1e9 in
     (* +1s keeps brand-new segments from scoring zero across the board. *)
     (age +. 1.0) *. (1.0 -. u) /. (1.0 +. u)
+
+let score policy ~now seg =
+  score_of policy ~now_ns:(now : Time.t :> int)
+    ~lt_ns:(Segment.last_touched seg :> int)
+    ~live:(Segment.live_count seg) ~nslots:(Segment.nslots seg)
 
 let select policy ~now ~eligible segments =
   Array.fold_left
@@ -31,6 +36,32 @@ let select policy ~now ~eligible segments =
       end)
     None segments
   |> Option.map fst
+
+let best_closed policy ~now ~candidate ~segs_per_bank ~allowed segments =
+  let now_ns = (now : Time.t :> int) in
+  let n = Array.length segments in
+  let best_id = ref (-1) in
+  let best_score = ref neg_infinity in
+  for bank = 0 to ((n + segs_per_bank - 1) / segs_per_bank) - 1 do
+    let lo = bank * segs_per_bank in
+    if allowed ~bank then
+      for id = lo to Int.min n (lo + segs_per_bank) - 1 do
+        if candidate.(id) then begin
+          let seg = segments.(id) in
+          let s =
+            score_of policy ~now_ns
+              ~lt_ns:(Segment.last_touched seg :> int)
+              ~live:(Segment.live_count seg) ~nslots:(Segment.nslots seg)
+          in
+          (* Strictly higher only: ids ascend, so ties keep the lowest. *)
+          if s > !best_score then begin
+            best_id := id;
+            best_score := s
+          end
+        end
+      done
+  done;
+  !best_id
 
 let write_amplification ~blocks_written ~blocks_flushed =
   if blocks_flushed = 0 then 1.0

@@ -14,7 +14,10 @@
       disk (here: flash) fills.
 
     Selection is a pure function over segment statistics so policies can be
-    unit-tested in isolation and benchmarked head-to-head (experiment E7). *)
+    unit-tested in isolation and benchmarked head-to-head (experiment E7).
+    {!select} is the reference fold; {!best_closed} is the manager's
+    allocation-free pass.  Both compute {!score}'s float through one
+    formula over integer statistics, so they agree bit for bit. *)
 
 type policy = Greedy | Cost_benefit
 
@@ -30,6 +33,22 @@ val select :
 (** The best eligible Closed segment, or [None].  Fully-live segments are
     still eligible (static wear leveling may force them); scoring naturally
     deprioritizes them. *)
+
+val best_closed :
+  policy ->
+  now:Sim.Time.t ->
+  candidate:bool array ->
+  segs_per_bank:int ->
+  allowed:(bank:int -> bool) ->
+  Segment.t array ->
+  int
+(** The id of the highest-scoring segment whose [candidate] bit is set,
+    among the banks [allowed] accepts (bank [b] holds ids
+    [\[b * segs_per_bank, (b + 1) * segs_per_bank)]), or [-1] if there is
+    none.  Ties go to the lowest id.  The caller's candidate bit stands for
+    "Closed, not retired, not being cleaned", so this picks what {!select}
+    picks over the same segments.  One pass over the id range that
+    allocates nothing per candidate. *)
 
 val write_amplification : blocks_written:int -> blocks_flushed:int -> float
 (** Total flash programs (client flushes + cleaner copies) per client

@@ -1,3 +1,6 @@
+(* [Storage.Array] (the card array) would shadow the stdlib inside this library. *)
+module Array = Stdlib.Array
+
 type config = {
   delta_bytes : int;
   merge_len : int;
@@ -23,9 +26,15 @@ type chain = {
   mutable c_bytes : int;
 }
 
+(* The absent-chain sentinel, compared physically.  Its fields are never
+   written: every mutator looks the chain up through [chain_exn], which
+   rejects it. *)
+let no_chain = { c_base_seg = -1; c_base_slot = -1; c_deltas = []; c_bytes = 0 }
+
 type t = {
   cfg : config;
-  chains : (int, chain) Hashtbl.t;
+  mutable chains : chain array; (* indexed by block; [no_chain] = absent *)
+  mutable nchains : int;
   mutable deltas_flushed : int;
   mutable delta_bytes_flushed : int;
   mutable merges : int;
@@ -38,7 +47,8 @@ let create cfg =
   if cfg.merge_bytes < 1 then invalid_arg "Diff_log.create: merge_bytes < 1";
   {
     cfg;
-    chains = Hashtbl.create 256;
+    chains = Array.make 256 no_chain;
+    nchains = 0;
     deltas_flushed = 0;
     delta_bytes_flushed = 0;
     merges = 0;
@@ -46,33 +56,39 @@ let create cfg =
   }
 
 let config t = t.cfg
-let has_chain t ~block = Hashtbl.mem t.chains block
+
+let find t block =
+  if block >= 0 && block < Array.length t.chains then t.chains.(block) else no_chain
+
+let has_chain t ~block = find t block != no_chain
 
 let base t ~block =
-  match Hashtbl.find_opt t.chains block with
-  | Some c -> Some (c.c_base_seg, c.c_base_slot)
-  | None -> None
+  let c = find t block in
+  if c == no_chain then None else Some (c.c_base_seg, c.c_base_slot)
 
-let deltas t ~block =
-  match Hashtbl.find_opt t.chains block with Some c -> c.c_deltas | None -> []
-
-let chain_length t ~block =
-  match Hashtbl.find_opt t.chains block with
-  | Some c -> List.length c.c_deltas
-  | None -> 0
-
+let deltas t ~block = (find t block).c_deltas
+let chain_length t ~block = List.length (find t block).c_deltas
 let next_pos t ~block = chain_length t ~block
 
 let begin_chain t ~block ~seg ~slot =
-  if Hashtbl.mem t.chains block then
+  if block < 0 then
+    invalid_arg (Printf.sprintf "Diff_log.begin_chain: negative block %d" block);
+  if has_chain t ~block then
     invalid_arg (Printf.sprintf "Diff_log.begin_chain: block %d already chained" block);
-  Hashtbl.replace t.chains block
-    { c_base_seg = seg; c_base_slot = slot; c_deltas = []; c_bytes = 0 }
+  let cap = Array.length t.chains in
+  if block >= cap then begin
+    let grown = Array.make (Int.max (block + 1) (2 * cap)) no_chain in
+    Array.blit t.chains 0 grown 0 cap;
+    t.chains <- grown
+  end;
+  t.chains.(block) <- { c_base_seg = seg; c_base_slot = slot; c_deltas = []; c_bytes = 0 };
+  t.nchains <- t.nchains + 1
 
 let chain_exn t ~block ~op =
-  match Hashtbl.find_opt t.chains block with
-  | Some c -> c
-  | None -> invalid_arg (Printf.sprintf "Diff_log.%s: block %d has no chain" op block)
+  let c = find t block in
+  if c == no_chain then
+    invalid_arg (Printf.sprintf "Diff_log.%s: block %d has no chain" op block);
+  c
 
 let push_delta t ~block ~pos ~seg ~slot ~sector ~bytes =
   let c = chain_exn t ~block ~op:"push_delta" in
@@ -85,9 +101,9 @@ let push_delta t ~block ~pos ~seg ~slot ~sector ~bytes =
   c.c_bytes <- c.c_bytes + bytes
 
 let should_merge t ~block =
-  match Hashtbl.find_opt t.chains block with
-  | None -> false
-  | Some c -> List.length c.c_deltas >= t.cfg.merge_len || c.c_bytes >= t.cfg.merge_bytes
+  let c = find t block in
+  c != no_chain
+  && (List.length c.c_deltas >= t.cfg.merge_len || c.c_bytes >= t.cfg.merge_bytes)
 
 let rebase t ~block ~seg ~slot =
   let c = chain_exn t ~block ~op:"rebase" in
@@ -105,10 +121,16 @@ let relocate_delta t ~block ~pos ~seg ~slot ~sector =
     d.d_slot <- slot;
     d.d_sector <- sector
 
-let drop t ~block = Hashtbl.remove t.chains block
+let drop t ~block =
+  if has_chain t ~block then begin
+    t.chains.(block) <- no_chain;
+    t.nchains <- t.nchains - 1
+  end
 
 let iter_chains t ~f =
-  Hashtbl.iter (fun block c -> f ~block ~ndeltas:(List.length c.c_deltas)) t.chains
+  Array.iteri
+    (fun block c -> if c != no_chain then f ~block ~ndeltas:(List.length c.c_deltas))
+    t.chains
 
 let note_delta_programmed t ~bytes =
   t.deltas_flushed <- t.deltas_flushed + 1;
@@ -128,9 +150,9 @@ type stats = {
 
 let stats (t : t) =
   let chained = ref 0 in
-  Hashtbl.iter (fun _ c -> chained := !chained + List.length c.c_deltas) t.chains;
+  iter_chains t ~f:(fun ~block:_ ~ndeltas -> chained := !chained + ndeltas);
   {
-    chains = Hashtbl.length t.chains;
+    chains = t.nchains;
     chained_deltas = !chained;
     deltas_flushed = t.deltas_flushed;
     delta_bytes_flushed = t.delta_bytes_flushed;

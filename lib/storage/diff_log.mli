@@ -62,7 +62,8 @@ val next_pos : t -> block:int -> int
 val begin_chain : t -> block:int -> seg:int -> slot:int -> unit
 (** Start an empty chain anchored at the block's current flash copy.
     No-op semantics are the caller's problem: raises [Invalid_argument]
-    if the block already has a chain. *)
+    if the block already has a chain or is negative.  Chains live in an
+    array indexed by block, so lookups are one bounds check. *)
 
 val push_delta :
   t -> block:int -> pos:int -> seg:int -> slot:int -> sector:int -> bytes:int -> unit
@@ -85,7 +86,7 @@ val drop : t -> block:int -> unit
     freed).  No-op if it has none. *)
 
 val iter_chains : t -> f:(block:int -> ndeltas:int -> unit) -> unit
-(** Visit every chained block (unspecified order). *)
+(** Visit every chained block, ascending by block. *)
 
 (** {1 Traffic counters}
 

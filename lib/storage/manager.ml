@@ -151,11 +151,12 @@ type t = {
   durable : header array; (* indexed by sector; [no_header] = absent *)
   mutable next_version : int;
   (* Incrementally maintained segment-state indexes and counters.  The
-     indexes answer every allocation/cleaning decision in O(log n); the
-     counters replace the O(#segments) rescans in stats and the
-     maybe_clean loop condition.  Maintained in every selector mode (the
-     Scan reference consults the arrays instead, which is what the
-     differential tests compare against). *)
+     indexes answer free picks and static relocations in O(log n);
+     [in_closed_idx] is the victim pass's candidate bit ("Closed, not
+     retired, not being cleaned"); the counters replace the O(#segments)
+     rescans in stats and the maybe_clean loop condition.  Maintained in
+     every selector mode (the Scan reference consults the arrays instead,
+     which is what the differential tests compare against). *)
   idx : Seg_index.t;
   wear_acc : Wear.acc;
   in_closed_idx : bool array;
@@ -216,8 +217,9 @@ let erase_count_of_segment t seg =
 (* --- Index maintenance ----------------------------------------------------
 
    Every segment state transition flows through these hooks, keeping the
-   per-bank free/victim structures, the wear accumulator, and the O(1)
-   counters in sync with the array the reference scans walk. *)
+   per-bank free/relocation structures, the victim pass's candidate bits,
+   the wear accumulator, and the O(1) counters in sync with the array the
+   reference scans walk. *)
 
 (* The free index key: erase count under wear-leveling allocation, 0 under
    first-fit (so the min entry is simply the lowest free id). *)
@@ -232,14 +234,11 @@ let free_index_remove t seg =
   let i = Segment.id seg in
   Seg_index.remove_free t.idx ~bank:(bank_of_segment t i) ~key:(wear_key t seg) ~id:i
 
-let lt_ns seg = Time.to_ns (Segment.last_touched seg)
-
 let closed_index_add t seg =
   let i = Segment.id seg in
   if not t.retired.(i) then begin
     Seg_index.add_closed t.idx ~bank:(bank_of_segment t i) ~id:i
-      ~live:(Segment.live_count seg) ~erase:(erase_count_of_segment t seg)
-      ~lt_ns:(lt_ns seg);
+      ~erase:(erase_count_of_segment t seg);
     t.in_closed_idx.(i) <- true
   end
 
@@ -247,20 +246,12 @@ let closed_index_remove t seg =
   let i = Segment.id seg in
   if t.in_closed_idx.(i) then begin
     Seg_index.remove_closed t.idx ~bank:(bank_of_segment t i) ~id:i
-      ~live:(Segment.live_count seg) ~erase:(erase_count_of_segment t seg)
-      ~lt_ns:(lt_ns seg);
+      ~erase:(erase_count_of_segment t seg);
     t.in_closed_idx.(i) <- false
   end
 
 (* After [Segment.kill seg ~slot]. *)
-let note_kill t seg =
-  t.n_live_blocks <- t.n_live_blocks - 1;
-  let i = Segment.id seg in
-  if t.in_closed_idx.(i) then begin
-    let live = Segment.live_count seg in
-    Seg_index.closed_live_changed t.idx ~bank:(bank_of_segment t i) ~id:i
-      ~old_live:(live + 1) ~new_live:live ~lt_ns:(lt_ns seg)
-  end
+let note_kill t = t.n_live_blocks <- t.n_live_blocks - 1
 
 (* Append a live block to an Open segment: the one place segments fill,
    touch, and transition to Closed (where they become victim candidates). *)
@@ -348,9 +339,7 @@ let create ?card cfg ~engine ~flash ~dram =
       idx =
         Seg_index.create ~nbanks
           ~wear_keyed:(cfg.wear <> Wear.None_)
-          ~track_live:(cfg.cleaner = Cleaner.Greedy)
-          ~track_erase:(match cfg.wear with Wear.Static _ -> true | _ -> false)
-          ~track_age:(cfg.cleaner = Cleaner.Cost_benefit);
+          ~track_erase:(match cfg.wear with Wear.Static _ -> true | _ -> false);
       wear_acc = Wear.acc_create ();
       in_closed_idx = Array.make nsegments false;
       n_live_blocks = 0;
@@ -430,7 +419,7 @@ let kill_flash_copy t m =
   | Flashed { seg; slot } ->
     let s = t.segments.(seg) in
     Segment.kill s ~slot;
-    note_kill t s;
+    note_kill t;
     m.loc <- Blank
   | Blank | Buffered -> ()
 
@@ -620,53 +609,14 @@ let select_victim_indexed t ~now ~purpose =
   in
   match relocation with
   | Some v -> Some v
-  | None -> (
-    match t.cfg.cleaner with
-    | Cleaner.Greedy ->
-      (* Greedy maximizes 1 - u, i.e. minimizes the live count; lowest id
-         on ties (per-bank entries carry their lowest tied id, and ids
-         ascend with banks). *)
-      let best_id = ref (-1) in
-      let best_key = ref 0 in
-      for bank = 0 to nbanks - 1 do
-        if bank_allowed_for t ~purpose ~bank then
-          match Seg_index.least_live_closed t.idx ~bank with
-          | Some (key, id) ->
-            if !best_id < 0 || key < !best_key then begin
-              best_id := id;
-              best_key := key
-            end
-          | None -> ()
-      done;
-      if !best_id < 0 then None else Some t.segments.(!best_id)
-    | Cleaner.Cost_benefit ->
-      (* Within one last-touched group the age factor is shared, so only
-         the group's emptiest-lowest-id member can win; across groups,
-         walk oldest-first and stop once the group's score ceiling
-         (age + 1, utilization 0) can no longer beat the best so far.
-         Scores are computed by Cleaner.score itself, so the floats are
-         the reference's floats. *)
-      let best_id = ref (-1) in
-      let best_score = ref neg_infinity in
-      for bank = 0 to nbanks - 1 do
-        if bank_allowed_for t ~purpose ~bank then
-          Seg_index.iter_age_reps t.idx ~bank ~f:(fun ~lt_ns ~id ->
-              let lt = Time.of_ns lt_ns in
-              let age = Time.span_to_s (Time.diff (Time.max now lt) lt) in
-              if !best_id >= 0 && age +. 1.0 < !best_score then false
-              else begin
-                let s = Cleaner.score t.cfg.cleaner ~now t.segments.(id) in
-                if
-                  !best_id < 0 || s > !best_score
-                  || (s = !best_score && id < !best_id)
-                then begin
-                  best_id := id;
-                  best_score := s
-                end;
-                true
-              end)
-      done;
-      if !best_id < 0 then None else Some t.segments.(!best_id))
+  | None ->
+    let id =
+      Cleaner.best_closed t.cfg.cleaner ~now ~candidate:t.in_closed_idx
+        ~segs_per_bank:t.segs_per_bank
+        ~allowed:(fun ~bank -> bank_allowed_for t ~purpose ~bank)
+        t.segments
+    in
+    if id < 0 then None else Some t.segments.(id)
 
 let select_victim t ~now ~purpose =
   match t.cfg.selector with
@@ -840,7 +790,7 @@ and clean_one t ~cursor ~purpose =
             Diff_log.relocate_delta d ~block:b ~pos:dl.Diff_log.d_pos
               ~seg:(Segment.id out) ~slot:out_slot ~sector:out_sector);
           Segment.kill victim ~slot;
-          note_kill t victim;
+          note_kill t;
           t.c_cleaned <- t.c_cleaned + 1;
           Probe.incr t.probes.p_cleaned)
         (Segment.live_blocks victim);
@@ -948,7 +898,7 @@ let merge_chain t d ~cursor b =
   let kill seg slot =
     let s = t.segments.(seg) in
     Segment.kill s ~slot;
-    note_kill t s
+    note_kill t
   in
   kill bseg bslot;
   List.iter
@@ -1205,7 +1155,7 @@ let free_block t b =
     let kill seg slot =
       let s = t.segments.(seg) in
       Segment.kill s ~slot;
-      note_kill t s
+      note_kill t
     in
     (match Diff_log.base d ~block:b with
     | Some (bseg, bslot) -> kill bseg bslot

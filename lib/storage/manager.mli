@@ -31,10 +31,14 @@ exception Out_of_space
 
 (** How allocation and cleaning decisions are answered.
 
-    [Indexed] (the default) consults incrementally maintained per-bank
-    indexes — O(log n) per decision, O(1) counters for statistics.
-    [Scan] is the original implementation, a full scan over the segment
-    array per decision; it is kept as the executable reference.  [Checked]
+    [Indexed] (the default) answers free picks and static wear-leveling
+    relocations from incrementally maintained per-bank indexes (O(log n)
+    per decision), statistics from O(1) counters, and cleaning victims
+    from one allocation-free pass ({!Cleaner.best_closed}) over each
+    allowed bank's segments, reading live counts and last-touched
+    instants as integers.  [Scan] is the original implementation, a full
+    fold over the segment array with boxed scores and intermediate lists
+    per decision; it is kept as the executable reference.  [Checked]
     runs both and raises [Failure] on any divergence (used by the
     differential tests; the two are byte-identical by construction). *)
 type selector = Indexed | Scan | Checked

@@ -55,45 +55,30 @@ module Bucketed = struct
     | Some (key, set) -> Some (key, Int_set.min_elt set)
 end
 
-(* Cost-benefit candidates: last-touched instant -> (live count -> ids).
-   Empty groups are removed eagerly so iteration visits only real
-   candidates. *)
-type age_bank = { mutable groups : Bucketed.t Int_map.t }
-
 type t = {
   nbanks : int;
   wear_keyed : bool;
-  track_live : bool;
   track_erase : bool;
-  track_age : bool;
   free : Bucketed.t array;
-  by_live : Bucketed.t array;
   by_erase : Bucketed.t array;
-  by_age : age_bank array;
   mutable free_total : int;
 }
 
-let create ~nbanks ~wear_keyed ~track_live ~track_erase ~track_age =
+let create ~nbanks ~wear_keyed ~track_erase =
   if nbanks < 1 then invalid_arg "Seg_index.create: nbanks < 1";
   {
     nbanks;
     wear_keyed;
-    track_live;
     track_erase;
-    track_age;
     free = Array.init nbanks (fun _ -> Bucketed.create ());
-    by_live = Array.init nbanks (fun _ -> Bucketed.create ());
     by_erase = Array.init nbanks (fun _ -> Bucketed.create ());
-    by_age = Array.init nbanks (fun _ -> { groups = Int_map.empty });
     free_total = 0;
   }
 
 let clear t =
   for bank = 0 to t.nbanks - 1 do
     t.free.(bank) <- Bucketed.create ();
-    t.by_live.(bank) <- Bucketed.create ();
-    t.by_erase.(bank) <- Bucketed.create ();
-    t.by_age.(bank).groups <- Int_map.empty
+    t.by_erase.(bank) <- Bucketed.create ()
   done;
   t.free_total <- 0
 
@@ -128,68 +113,16 @@ let most_worn_free t ~bank =
   check_bank t bank;
   Bucketed.max_entry t.free.(bank)
 
-(* --- Closed (victim) side ------------------------------------------------- *)
+(* --- Closed side (static wear-leveling relocation) ------------------------ *)
 
-let age_add t ~bank ~id ~live ~lt_ns =
-  let ab = t.by_age.(bank) in
-  let group =
-    match Int_map.find_opt lt_ns ab.groups with
-    | Some g -> g
-    | None ->
-      let g = Bucketed.create () in
-      ab.groups <- Int_map.add lt_ns g ab.groups;
-      g
-  in
-  Bucketed.add group ~key:live id
-
-let age_remove t ~bank ~id ~live ~lt_ns =
-  let ab = t.by_age.(bank) in
-  match Int_map.find_opt lt_ns ab.groups with
-  | None ->
-    invalid_arg (Printf.sprintf "Seg_index: no age group at %d ns for id %d" lt_ns id)
-  | Some group ->
-    Bucketed.remove group ~key:live id;
-    if Bucketed.size group = 0 then ab.groups <- Int_map.remove lt_ns ab.groups
-
-let add_closed t ~bank ~id ~live ~erase ~lt_ns =
+let add_closed t ~bank ~id ~erase =
   check_bank t bank;
-  if t.track_live then Bucketed.add t.by_live.(bank) ~key:live id;
-  if t.track_erase then Bucketed.add t.by_erase.(bank) ~key:erase id;
-  if t.track_age then age_add t ~bank ~id ~live ~lt_ns
+  if t.track_erase then Bucketed.add t.by_erase.(bank) ~key:erase id
 
-let remove_closed t ~bank ~id ~live ~erase ~lt_ns =
+let remove_closed t ~bank ~id ~erase =
   check_bank t bank;
-  if t.track_live then Bucketed.remove t.by_live.(bank) ~key:live id;
-  if t.track_erase then Bucketed.remove t.by_erase.(bank) ~key:erase id;
-  if t.track_age then age_remove t ~bank ~id ~live ~lt_ns
-
-let closed_live_changed t ~bank ~id ~old_live ~new_live ~lt_ns =
-  check_bank t bank;
-  if t.track_live then begin
-    Bucketed.remove t.by_live.(bank) ~key:old_live id;
-    Bucketed.add t.by_live.(bank) ~key:new_live id
-  end;
-  if t.track_age then begin
-    age_remove t ~bank ~id ~live:old_live ~lt_ns;
-    age_add t ~bank ~id ~live:new_live ~lt_ns
-  end
-
-let least_live_closed t ~bank =
-  check_bank t bank;
-  Bucketed.min_entry t.by_live.(bank)
+  if t.track_erase then Bucketed.remove t.by_erase.(bank) ~key:erase id
 
 let coldest_closed t ~bank =
   check_bank t bank;
   Bucketed.min_entry t.by_erase.(bank)
-
-let iter_age_reps t ~bank ~f =
-  check_bank t bank;
-  let rec go seq =
-    match seq () with
-    | Seq.Nil -> ()
-    | Seq.Cons ((lt_ns, group), rest) -> (
-      match Bucketed.min_entry group with
-      | None -> go rest (* unreachable: empty groups are removed eagerly *)
-      | Some (_live, id) -> if f ~lt_ns ~id then go rest)
-  in
-  go (Int_map.to_seq t.by_age.(bank).groups)

@@ -2,10 +2,14 @@
 module Array = Stdlib.Array
 type state = Free | Open | Closed
 
+(* Block ids are non-negative, so [-1] marks an empty slot and the array
+   stays unboxed. *)
+let empty = -1
+
 type t = {
   id : int;
   first_sector : int;
-  slots : int option array;  (** [Some block] = live block in this slot. *)
+  slots : int array;  (** The live block in each slot, or [empty]. *)
   mutable state : state;
   mutable next_slot : int;
   mutable live : int;
@@ -17,7 +21,7 @@ let create ~id ~first_sector ~nslots =
   {
     id;
     first_sector;
-    slots = Array.make nslots None;
+    slots = Array.make nslots empty;
     state = Free;
     next_slot = 0;
     live = 0;
@@ -42,10 +46,11 @@ let append t ~block =
   (match t.state with
   | Open -> ()
   | Free | Closed -> invalid_arg "Segment.append: not open");
+  if block < 0 then invalid_arg "Segment.append: negative block";
   if t.next_slot >= nslots t then None
   else begin
     let slot = t.next_slot in
-    t.slots.(slot) <- Some block;
+    t.slots.(slot) <- block;
     t.next_slot <- slot + 1;
     t.live <- t.live + 1;
     if t.next_slot = nslots t then t.state <- Closed;
@@ -54,24 +59,20 @@ let append t ~block =
 
 let kill t ~slot =
   if slot < 0 || slot >= nslots t then invalid_arg "Segment.kill: slot out of range";
-  match t.slots.(slot) with
-  | None -> invalid_arg "Segment.kill: slot empty"
-  | Some _ ->
-    t.slots.(slot) <- None;
-    t.live <- t.live - 1
+  if t.slots.(slot) = empty then invalid_arg "Segment.kill: slot empty";
+  t.slots.(slot) <- empty;
+  t.live <- t.live - 1
 
 let live_blocks t =
   let acc = ref [] in
   for slot = nslots t - 1 downto 0 do
-    match t.slots.(slot) with
-    | Some block -> acc := (slot, block) :: !acc
-    | None -> ()
+    let block = t.slots.(slot) in
+    if block <> empty then acc := (slot, block) :: !acc
   done;
   !acc
 
 let live_count t = t.live
 let used_slots t = t.next_slot
-let utilization t = float_of_int t.live /. float_of_int (nslots t)
 
 let close t =
   match t.state with
@@ -80,7 +81,7 @@ let close t =
 
 let reset_to_free t =
   if t.live > 0 then invalid_arg "Segment.reset_to_free: live blocks remain";
-  Array.fill t.slots 0 (nslots t) None;
+  Array.fill t.slots 0 (nslots t) empty;
   t.next_slot <- 0;
   t.state <- Free
 

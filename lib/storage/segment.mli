@@ -35,7 +35,8 @@ val open_ : t -> unit
 val append : t -> block:int -> int option
 (** Claim the next slot for a (live) block; returns the slot, or [None] if
     the segment is full.  A full segment transitions to Closed
-    automatically.  @raise Invalid_argument unless Open. *)
+    automatically.  @raise Invalid_argument unless Open, or if [block]
+    is negative. *)
 
 val kill : t -> slot:int -> unit
 (** Mark the block in [slot] dead (superseded or freed).
@@ -47,9 +48,6 @@ val live_blocks : t -> (int * int) list
 val live_count : t -> int
 val used_slots : t -> int
 (** Slots consumed so far (live + dead). *)
-
-val utilization : t -> float
-(** Live blocks over total slots, in [\[0, 1\]]. *)
 
 val close : t -> unit
 (** Force Open -> Closed (e.g. when switching banks).

@@ -48,10 +48,17 @@ let p_cancelled = Probe.counter "storage.write_buffer.cancelled"
    (lazy invalidation), so refresh-heavy hot-block workloads would grow
    the queue without bound.  When stale entries outnumber live ones,
    rebuild the queue: pop everything in delivery order and re-add only
-   the entries the table still agrees with.  Popped order is preserved,
-   so same-deadline FIFO ties break exactly as before — delivery is
-   unchanged, and the cost is amortized O(1) per enqueue.  (The queue is
-   Heap-kind, which accepts re-adds at any instant.) *)
+   the entries the table still agrees with.  Popped order is preserved
+   among the survivors, and the cost is amortized O(1) per enqueue.  (The
+   queue is Heap-kind, which accepts re-adds at any instant.)
+
+   Delivery is NOT unchanged.  An entry counts as live whenever the table
+   holds the same deadline for its block, so a block taken or removed and
+   then re-admitted at that same instant revives its stale entry and keeps
+   the old queue position.  Dropping stale entries here removes what could
+   later revive, so flush order depends on when compaction last ran; this
+   is what moved the pinned E7 wear-out metrics.  ROADMAP item 1 replaces
+   the structure with one insertion-ordered list that cannot revive. *)
 let compact t =
   let rec collect acc =
     match Event_queue.pop t.queue with

@@ -158,6 +158,168 @@ let test_cleaner_select_tie_lowest_id () =
     [ ("greedy tie", Storage.Cleaner.Greedy);
       ("cost-benefit tie", Storage.Cleaner.Cost_benefit) ]
 
+(* --- The indexed pass: Cleaner.best_closed --------------------------------- *)
+
+let policies = [ ("greedy", Storage.Cleaner.Greedy); ("cost-benefit", Storage.Cleaner.Cost_benefit) ]
+
+let best ?(allowed = fun ~bank:_ -> true) ?(segs_per_bank = 64) policy ~now ~candidate segs =
+  Storage.Cleaner.best_closed policy ~now ~candidate ~segs_per_bank ~allowed segs
+
+let test_pass_tie_lowest_id () =
+  let segs = Array.init 4 (fun id -> segment ~id ~fill:8 ~kill:[ 0; 1 ] ~touched:1_000) in
+  let now = Time.of_ns 500_000_000 in
+  List.iter
+    (fun (name, policy) ->
+      Alcotest.(check int) (name ^ " tie") 0
+        (best policy ~now ~candidate:(Array.make 4 true) segs);
+      Alcotest.(check int) (name ^ " tie, first ineligible") 1
+        (best policy ~now ~candidate:[| false; true; true; true |] segs))
+    policies
+
+let test_pass_skips_non_candidates () =
+  (* The manager's candidate bit is "Closed, not retired, not the victim
+     being cleaned".  The non-candidates here would all outscore id 4. *)
+  let free = free_segment ~id:0 in
+  let open_ = Storage.Segment.create ~id:1 ~first_sector:8 ~nslots:8 in
+  Storage.Segment.open_ open_;
+  ignore (Storage.Segment.append open_ ~block:100);
+  let retired = segment ~id:2 ~fill:8 ~kill:[ 0; 1; 2; 3; 4; 5; 6; 7 ] ~touched:0 in
+  let cleaning = segment ~id:3 ~fill:8 ~kill:[ 0; 1; 2; 3; 4; 5; 6 ] ~touched:0 in
+  let closed = segment ~id:4 ~fill:8 ~kill:[ 0 ] ~touched:0 in
+  let segs = [| free; open_; retired; cleaning; closed |] in
+  let is_retired = [| false; false; true; false; false |] in
+  let candidate =
+    Array.mapi
+      (fun i s ->
+        Storage.Segment.state s = Storage.Segment.Closed && (not is_retired.(i)) && i <> 3)
+      segs
+  in
+  let now = Time.of_ns 1_000_000_000 in
+  List.iter
+    (fun (name, policy) ->
+      Alcotest.(check int) name 4 (best policy ~now ~candidate segs);
+      let reference =
+        Storage.Cleaner.select policy ~now
+          ~eligible:(fun s -> candidate.(Storage.Segment.id s))
+          segs
+      in
+      Alcotest.(check (option int)) (name ^ " = select") (Some 4)
+        (Option.map Storage.Segment.id reference);
+      Alcotest.(check int) (name ^ " none") (-1)
+        (best policy ~now ~candidate:(Array.make 5 false) segs))
+    policies
+
+let test_pass_honours_purpose () =
+  (* Two banks of two segments, partitioned: fresh writes may only clean
+     in bank 0 even though bank 1 holds the emptiest segment. *)
+  let banking = Storage.Banks.Partitioned { write_banks = 1 } in
+  let segs =
+    [|
+      segment ~id:0 ~fill:8 ~kill:[ 0 ] ~touched:0;
+      segment ~id:1 ~fill:8 ~kill:[ 0; 1 ] ~touched:0;
+      segment ~id:2 ~fill:8 ~kill:[ 0; 1; 2; 3; 4; 5 ] ~touched:0;
+      segment ~id:3 ~fill:8 ~kill:[] ~touched:0;
+    |]
+  in
+  let now = Time.of_ns 1_000 in
+  let candidate = Array.make 4 true in
+  let pick policy purpose =
+    best policy ~now ~candidate ~segs_per_bank:2
+      ~allowed:(fun ~bank -> Storage.Banks.allowed banking ~nbanks:2 purpose ~bank)
+      segs
+  in
+  List.iter
+    (fun (name, policy) ->
+      Alcotest.(check int) (name ^ " fresh: bank 0 only") 1
+        (pick policy Storage.Banks.Fresh_write);
+      Alcotest.(check int) (name ^ " clean-out: bank 1 only") 2
+        (pick policy Storage.Banks.Clean_out);
+      Alcotest.(check int) (name ^ " unrestricted") 2
+        (best policy ~now ~candidate ~segs_per_bank:2 segs))
+    policies
+
+let test_pass_bank_tie_lower_bank () =
+  (* Equal best scores in bank 0 (id 1) and bank 1 (id 2): a later bank
+     replaces the best only on a strictly higher score. *)
+  let segs =
+    [|
+      segment ~id:0 ~fill:8 ~kill:[ 0 ] ~touched:5_000;
+      segment ~id:1 ~fill:8 ~kill:[ 0; 1; 2 ] ~touched:5_000;
+      segment ~id:2 ~fill:8 ~kill:[ 3; 4; 5 ] ~touched:5_000;
+      segment ~id:3 ~fill:8 ~kill:[] ~touched:5_000;
+    |]
+  in
+  let now = Time.of_ns 3_000_000_000 in
+  let candidate = Array.make 4 true in
+  List.iter
+    (fun (name, policy) ->
+      Alcotest.(check int) (name ^ " lower bank") 1
+        (best policy ~now ~candidate ~segs_per_bank:2 segs);
+      Alcotest.(check int) (name ^ " bank 0 excluded") 2
+        (best policy ~now ~candidate ~segs_per_bank:2
+           ~allowed:(fun ~bank -> bank = 1)
+           segs))
+    policies
+
+let test_pass_allocates_nothing () =
+  (* Scores stay unboxed inside the pass: 100 passes over 512 candidates
+     may not allocate even one word per pass. *)
+  let segs =
+    Array.init 512 (fun id -> segment ~id ~fill:8 ~kill:[ id mod 8 ] ~touched:(id * 1_000))
+  in
+  let candidate = Array.make 512 true in
+  let allowed ~bank:_ = true in
+  let now = Time.of_ns 9_000_000_000 in
+  List.iter
+    (fun (name, policy) ->
+      let before = Gc.minor_words () in
+      for _ = 1 to 100 do
+        ignore
+          (Sys.opaque_identity
+             (Storage.Cleaner.best_closed policy ~now ~candidate ~segs_per_bank:128 ~allowed
+                segs))
+      done;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check bool) (Printf.sprintf "%s: %.0f words" name words) true (words < 100.0))
+    policies
+
+(* Random closed segments (live count, last-touched instant), candidate
+   bits, bank masks, bank sizes and clock: the pass must pick exactly what
+   the reference fold picks. *)
+let prop_pass_matches_select =
+  let gen =
+    QCheck.Gen.(
+      (* Few distinct instants half the time, so cost-benefit ties occur. *)
+      let touched = oneof [ map (( * ) 1_000_000_000) (int_bound 2); int_bound 5_000_000_000 ] in
+      let seg = triple (int_bound 8) touched bool in
+      quad (list_size (int_range 1 24) seg) (int_bound 6_000_000_000) (int_range 1 5)
+        (int_bound 31))
+  in
+  QCheck.Test.make ~name:"cleaner: best_closed = select" ~count:500 (QCheck.make gen)
+    (fun (specs, now_ns, segs_per_bank, bank_mask) ->
+      let segs =
+        Array.of_list
+          (List.mapi
+             (fun id (live, touched, _) ->
+               segment ~id ~fill:8 ~kill:(List.init (8 - live) Fun.id) ~touched)
+             specs)
+      in
+      let candidate = Array.of_list (List.map (fun (_, _, c) -> c) specs) in
+      let allowed ~bank = bank_mask land (1 lsl (bank mod 5)) <> 0 in
+      let now = Time.of_ns now_ns in
+      List.for_all
+        (fun (_, policy) ->
+          let reference =
+            Storage.Cleaner.select policy ~now
+              ~eligible:(fun s ->
+                let id = Storage.Segment.id s in
+                candidate.(id) && allowed ~bank:(id / segs_per_bank))
+              segs
+          in
+          best policy ~now ~candidate ~segs_per_bank ~allowed segs
+          = Option.fold ~none:(-1) ~some:Storage.Segment.id reference)
+        policies)
+
 let test_relocation_victim_tie_lowest_id () =
   let segs = Array.init 3 (fun id -> segment ~id ~fill:8 ~kill:[] ~touched:0) in
   (* Equal wear on the closed segments, a spread-busting outlier via a
@@ -235,6 +397,12 @@ let suite =
     Alcotest.test_case "select tie -> lowest id" `Quick test_cleaner_select_tie_lowest_id;
     Alcotest.test_case "relocation tie -> lowest id" `Quick
       test_relocation_victim_tie_lowest_id;
+    Alcotest.test_case "pass tie -> lowest id" `Quick test_pass_tie_lowest_id;
+    Alcotest.test_case "pass skips non-candidates" `Quick test_pass_skips_non_candidates;
+    Alcotest.test_case "pass honours purpose" `Quick test_pass_honours_purpose;
+    Alcotest.test_case "pass bank tie -> lower bank" `Quick test_pass_bank_tie_lower_bank;
+    Alcotest.test_case "pass allocates nothing" `Quick test_pass_allocates_nothing;
+    QCheck_alcotest.to_alcotest prop_pass_matches_select;
     Alcotest.test_case "lifetime writes" `Quick test_lifetime_writes;
     Alcotest.test_case "banks validate" `Quick test_banks_validate;
     Alcotest.test_case "banks allowed" `Quick test_banks_allowed;

@@ -77,43 +77,9 @@ let prop_bucketed_matches_model =
       && B.min_entry b = extreme min
       && B.max_entry b = extreme max)
 
-let test_age_reps_order_and_cutoff () =
-  let idx =
-    I.create ~nbanks:1 ~wear_keyed:true ~track_live:false ~track_erase:false
-      ~track_age:true
-  in
-  (* Three age groups; the middle one holds a tie on the live count. *)
-  I.add_closed idx ~bank:0 ~id:5 ~live:3 ~erase:0 ~lt_ns:200;
-  I.add_closed idx ~bank:0 ~id:1 ~live:6 ~erase:0 ~lt_ns:100;
-  I.add_closed idx ~bank:0 ~id:7 ~live:2 ~erase:0 ~lt_ns:200;
-  I.add_closed idx ~bank:0 ~id:2 ~live:2 ~erase:0 ~lt_ns:200;
-  I.add_closed idx ~bank:0 ~id:9 ~live:0 ~erase:0 ~lt_ns:300;
-  let seen = ref [] in
-  I.iter_age_reps idx ~bank:0 ~f:(fun ~lt_ns ~id ->
-      seen := (lt_ns, id) :: !seen;
-      true);
-  Alcotest.(check (list (pair int int)))
-    "oldest first, emptiest-lowest-id rep per group"
-    [ (100, 1); (200, 2); (300, 9) ]
-    (List.rev !seen);
-  (* Early cutoff stops the walk. *)
-  let seen = ref [] in
-  I.iter_age_reps idx ~bank:0 ~f:(fun ~lt_ns ~id ->
-      seen := (lt_ns, id) :: !seen;
-      false);
-  Alcotest.(check (list (pair int int))) "stops on false" [ (100, 1) ] (List.rev !seen);
-  (* A live-count change moves the representative. *)
-  I.closed_live_changed idx ~bank:0 ~id:7 ~old_live:2 ~new_live:1 ~lt_ns:200;
-  let seen = ref [] in
-  I.iter_age_reps idx ~bank:0 ~f:(fun ~lt_ns:_ ~id ->
-      seen := id :: !seen;
-      true);
-  Alcotest.(check (list int)) "rep follows live counts" [ 1; 7; 9 ] (List.rev !seen)
-
 let test_free_side_counters () =
   let idx =
-    I.create ~nbanks:2 ~wear_keyed:true ~track_live:true ~track_erase:true
-      ~track_age:false
+    I.create ~nbanks:2 ~wear_keyed:true ~track_erase:true
   in
   I.add_free idx ~bank:0 ~key:3 ~id:0;
   I.add_free idx ~bank:0 ~key:3 ~id:1;
@@ -133,6 +99,5 @@ let suite =
     Alcotest.test_case "bucketed tie -> lowest id" `Quick test_bucketed_tie_lowest_id;
     Alcotest.test_case "bucketed misuse raises" `Quick test_bucketed_misuse_raises;
     QCheck_alcotest.to_alcotest prop_bucketed_matches_model;
-    Alcotest.test_case "age reps order & cutoff" `Quick test_age_reps_order_and_cutoff;
     Alcotest.test_case "free side counters" `Quick test_free_side_counters;
   ]

@@ -20,8 +20,7 @@ let test_open_append_close_cycle () =
   Alcotest.(check bool) "append 2" true (Storage.Segment.append s ~block:11 = Some 1);
   Alcotest.(check bool) "auto-closed when full" true
     (Storage.Segment.state s = Storage.Segment.Closed);
-  Alcotest.(check int) "live" 2 (Storage.Segment.live_count s);
-  Alcotest.(check (float 1e-9)) "utilization" 1.0 (Storage.Segment.utilization s)
+  Alcotest.(check int) "live" 2 (Storage.Segment.live_count s)
 
 let test_append_errors () =
   let s = make () in
@@ -29,7 +28,10 @@ let test_append_errors () =
     (fun () -> ignore (Storage.Segment.append s ~block:1));
   Storage.Segment.open_ s;
   Alcotest.check_raises "double open" (Invalid_argument "Segment.open_: not free")
-    (fun () -> Storage.Segment.open_ s)
+    (fun () -> Storage.Segment.open_ s);
+  (* -1 marks an empty slot, so no block may take that id. *)
+  Alcotest.check_raises "negative block" (Invalid_argument "Segment.append: negative block")
+    (fun () -> ignore (Storage.Segment.append s ~block:(-1)))
 
 let test_kill_and_live_blocks () =
   let s = make ~n:3 () in
